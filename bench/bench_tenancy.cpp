@@ -16,14 +16,20 @@
 //     checked pairwise across applications — overlap means two apps
 //     double-booked a machine, which the reservation table must prevent.
 //
+// A last configuration is a one-site burst: every application arrives at
+// t=0 from site 0 with admission unbounded, so most of them lose their
+// first scheduling round to contention and retry.  It reports scheduling
+// rounds per submission (tenancy_stats().admitted / submitted).
+//
 // Emits a JSON object on stdout and writes it to BENCH_TENANCY.json for CI
 // artifact upload.
 //
 // Flags:
 //   --smoke   fewer/smaller configurations (CI per-commit signal)
 //   --check   exit non-zero unless every submission completed successfully,
-//             no host was ever double-booked across applications, and the
-//             reservation table counted zero acquire conflicts
+//             no host was ever double-booked across applications, the
+//             reservation table counted zero acquire conflicts, and the
+//             burst took at most 2 scheduling rounds per submission
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -79,11 +85,16 @@ bool find_double_booking(std::vector<HostClaim>& claims, std::string* who) {
   return false;
 }
 
+/// Scheduling rounds per submission above which the burst fails --check.
+constexpr double kMaxBurstRounds = 2.0;
+
 struct Measurement {
+  std::string config;  ///< tenant count, or "burst"
   std::size_t tenants = 0;
   std::size_t submitted = 0;
   std::size_t completed = 0;
   std::size_t deferred = 0;
+  double rounds_per_submission = 0.0;  ///< admitted / submitted
   std::size_t peak_in_flight = 0;
   double p50 = 0.0;
   double p99 = 0.0;
@@ -96,18 +107,86 @@ struct Measurement {
   std::uint64_t reservation_conflicts = 0;
 };
 
-Measurement measure(std::size_t tenants, std::size_t apps_per_tenant,
-                    bool smoke) {
-  Measurement m;
-  m.tenants = tenants;
-  const double t0 = now_ms();
-
+ScaleSpec grid_spec(bool smoke) {
   ScaleSpec spec;
   spec.grid.sites = smoke ? 2 : 3;
   spec.grid.hosts_per_site = smoke ? 6 : 10;
   spec.grid.seed = 41;
   spec.options.runtime.exec_noise_cv = 0.0;
-  auto env = VdceEnvironment::make_scale_environment(spec);
+  return spec;
+}
+
+/// Drain `env` and fill the rest of `m` from the reports and counters.
+void finish(VdceEnvironment& env, const std::vector<AppHandle>& handles,
+            double first_submit, double t0, Measurement& m) {
+  auto drained = env.drain();
+  if (!drained.ok()) {
+    std::fprintf(stderr, "drain failed: %s\n",
+                 drained.error().to_string().c_str());
+    return;
+  }
+
+  std::vector<double> latencies;
+  std::vector<HostClaim> claims;
+  bool all_success = !handles.empty();
+  for (AppHandle h : handles) {
+    auto report = env.report(h);
+    if (!report || !report->success) {
+      all_success = false;
+      continue;
+    }
+    ++m.completed;
+    latencies.push_back(report->completed - report->enqueued);
+    m.contention_max =
+        std::max(m.contention_max, report->admitted - report->enqueued);
+    for (const runtime::TaskOutcome& o : report->outcomes) {
+      claims.push_back(HostClaim{o.host.value(), h.id, o.started, o.finished});
+    }
+  }
+  m.all_success = all_success;
+
+  std::string violation;
+  m.no_double_booking = !find_double_booking(claims, &violation);
+  if (!m.no_double_booking) {
+    std::fprintf(stderr, "DOUBLE BOOKING: %s\n", violation.c_str());
+  }
+  m.reservation_conflicts = env.core().reservations().conflicts();
+
+  const tenancy::TenancyStats& stats = env.tenancy_stats();
+  m.deferred = stats.deferred;
+  m.peak_in_flight = stats.peak_in_flight;
+  if (stats.submitted != 0) {
+    m.rounds_per_submission = static_cast<double>(stats.admitted) /
+                              static_cast<double>(stats.submitted);
+  }
+
+  std::sort(latencies.begin(), latencies.end());
+  auto quantile = [&](double q) {
+    if (latencies.empty()) return 0.0;
+    const double pos = q * static_cast<double>(latencies.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, latencies.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return latencies[lo] * (1.0 - frac) + latencies[hi] * frac;
+  };
+  m.p50 = quantile(0.50);
+  m.p99 = quantile(0.99);
+
+  m.span = first_submit >= 0.0 ? env.now() - first_submit : 0.0;
+  if (m.span > 0.0) {
+    m.throughput = static_cast<double>(m.completed) * 60.0 / m.span;
+  }
+  m.wall_ms = now_ms() - t0;
+}
+
+Measurement measure(std::size_t tenants, std::size_t apps_per_tenant,
+                    bool smoke) {
+  Measurement m;
+  m.config = std::to_string(tenants);
+  m.tenants = tenants;
+  const double t0 = now_ms();
+
+  auto env = VdceEnvironment::make_scale_environment(grid_spec(smoke));
   if (!env) {
     std::fprintf(stderr, "bring-up failed: %s\n",
                  env.error().to_string().c_str());
@@ -164,61 +243,54 @@ Measurement measure(std::size_t tenants, std::size_t apps_per_tenant,
     if (first_submit < 0.0) first_submit = (*env)->now();
     handles.push_back(*handle);
   }
+  finish(**env, handles, first_submit, t0, m);
+  return m;
+}
 
-  auto drained = (*env)->drain();
-  if (!drained.ok()) {
-    std::fprintf(stderr, "drain failed: %s\n",
-                 drained.error().to_string().c_str());
+/// The one-site burst: `apps` layered applications submitted at t=0 from
+/// site 0 by one user, admission unbounded.
+Measurement measure_burst(std::size_t apps, bool smoke) {
+  Measurement m;
+  m.config = "burst";
+  m.tenants = 1;
+  const double t0 = now_ms();
+
+  ScaleSpec spec = grid_spec(smoke);
+  spec.options.tenancy.max_in_flight = 0;
+  spec.options.tenancy.max_queue_depth = 0;
+  auto env = VdceEnvironment::make_scale_environment(spec);
+  if (!env) {
+    std::fprintf(stderr, "bring-up failed: %s\n",
+                 env.error().to_string().c_str());
+    return m;
+  }
+  auto added = (*env)->try_add_user("burst", "pw");
+  auto session = (*env)->login(common::SiteId(0), "burst", "pw");
+  if (!added.ok() || !session) {
+    std::fprintf(stderr, "burst user setup failed\n");
     return m;
   }
 
-  std::vector<double> latencies;
-  std::vector<HostClaim> claims;
-  bool all_success = !handles.empty();
-  for (AppHandle h : handles) {
-    auto report = (*env)->report(h);
-    if (!report || !report->success) {
-      all_success = false;
+  std::vector<AppHandle> handles;
+  for (std::size_t i = 0; i < apps; ++i) {
+    scale::WorkloadSpec w;
+    w.tasks = 12;
+    w.width = 4;
+    w.max_mflop = 500.0;
+    w.seed = 900 + i;
+    RunOptions run;
+    run.real_kernels = false;
+    auto handle = (*env)->submit_application(
+        scale::make_workload(w, "burst" + std::to_string(i)), *session, run);
+    ++m.submitted;
+    if (!handle) {
+      std::fprintf(stderr, "burst submit %zu rejected: %s\n", i,
+                   handle.error().to_string().c_str());
       continue;
     }
-    ++m.completed;
-    latencies.push_back(report->completed - report->enqueued);
-    m.contention_max =
-        std::max(m.contention_max, report->admitted - report->enqueued);
-    for (const runtime::TaskOutcome& o : report->outcomes) {
-      claims.push_back(HostClaim{o.host.value(), h.id, o.started, o.finished});
-    }
+    handles.push_back(*handle);
   }
-  m.all_success = all_success;
-
-  std::string violation;
-  m.no_double_booking = !find_double_booking(claims, &violation);
-  if (!m.no_double_booking) {
-    std::fprintf(stderr, "DOUBLE BOOKING: %s\n", violation.c_str());
-  }
-  m.reservation_conflicts = (*env)->core().reservations().conflicts();
-
-  const tenancy::TenancyStats& stats = (*env)->tenancy_stats();
-  m.deferred = stats.deferred;
-  m.peak_in_flight = stats.peak_in_flight;
-
-  std::sort(latencies.begin(), latencies.end());
-  auto quantile = [&](double q) {
-    if (latencies.empty()) return 0.0;
-    const double pos = q * static_cast<double>(latencies.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, latencies.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return latencies[lo] * (1.0 - frac) + latencies[hi] * frac;
-  };
-  m.p50 = quantile(0.50);
-  m.p99 = quantile(0.99);
-
-  m.span = first_submit >= 0.0 ? (*env)->now() - first_submit : 0.0;
-  if (m.span > 0.0) {
-    m.throughput = static_cast<double>(m.completed) * 60.0 / m.span;
-  }
-  m.wall_ms = now_ms() - t0;
+  finish(**env, handles, 0.0, t0, m);
   return m;
 }
 
@@ -243,9 +315,9 @@ int main(int argc, char** argv) {
             : std::vector<std::size_t>{1, 2, 4, 8};
   const std::size_t apps_per_tenant = smoke ? 2 : 3;
 
-  bench::Table table({"tenants", "apps", "completed", "deferred", "peak",
-                      "p50_s", "p99_s", "apps/min", "max_wait_s", "wall_ms",
-                      "audit"});
+  bench::Table table({"tenants", "apps", "completed", "deferred",
+                      "rounds/app", "peak", "p50_s", "p99_s", "apps/min",
+                      "max_wait_s", "wall_ms", "audit"});
   std::string json = "{\"bench\":\"tenancy\",\"smoke\":";
   json += smoke ? "true" : "false";
   json += ",\"apps_per_tenant\":" + std::to_string(apps_per_tenant);
@@ -255,13 +327,19 @@ int main(int argc, char** argv) {
   bool no_double_booking = true;
   std::uint64_t conflicts = 0;
   bool first = true;
+  std::vector<Measurement> runs;
   for (std::size_t tenants : tenant_counts) {
-    Measurement m = measure(tenants, apps_per_tenant, smoke);
+    runs.push_back(measure(tenants, apps_per_tenant, smoke));
+  }
+  runs.push_back(measure_burst(smoke ? 16 : 32, smoke));
+  const double burst_rounds = runs.back().rounds_per_submission;
+  for (const Measurement& m : runs) {
     all_success = all_success && m.all_success;
     no_double_booking = no_double_booking && m.no_double_booking;
     conflicts += m.reservation_conflicts;
-    table.add_row({std::to_string(m.tenants), std::to_string(m.submitted),
+    table.add_row({m.config, std::to_string(m.submitted),
                    std::to_string(m.completed), std::to_string(m.deferred),
+                   bench::Table::num(m.rounds_per_submission, 2),
                    std::to_string(m.peak_in_flight), bench::Table::num(m.p50),
                    bench::Table::num(m.p99),
                    bench::Table::num(m.throughput, 2),
@@ -270,10 +348,13 @@ int main(int argc, char** argv) {
                    m.no_double_booking ? "exclusive" : "DOUBLE-BOOKED"});
     if (!first) json += ",";
     first = false;
-    json += "{\"tenants\":" + std::to_string(m.tenants) +
+    json += "{\"config\":\"" + m.config + "\"" +
+            ",\"tenants\":" + std::to_string(m.tenants) +
             ",\"submitted\":" + std::to_string(m.submitted) +
             ",\"completed\":" + std::to_string(m.completed) +
             ",\"deferred\":" + std::to_string(m.deferred) +
+            ",\"rounds_per_submission\":" +
+            json_num(m.rounds_per_submission) +
             ",\"peak_in_flight\":" + std::to_string(m.peak_in_flight) +
             ",\"p50_s\":" + json_num(m.p50) +
             ",\"p99_s\":" + json_num(m.p99) +
@@ -320,9 +401,17 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(conflicts));
       return 1;
     }
+    if (burst_rounds > kMaxBurstRounds) {
+      std::fprintf(stderr,
+                   "CHECK FAILED: tenancy.admitted/submitted = %s scheduling "
+                   "rounds per submission in the burst (max %s)\n",
+                   json_num(burst_rounds).c_str(),
+                   json_num(kMaxBurstRounds).c_str());
+      return 1;
+    }
     std::printf(
         "check: ok (every submission completed, hosts exclusive, 0 "
-        "reservation conflicts)\n");
+        "reservation conflicts, burst rounds/submission <= 2)\n");
   }
   return 0;
 }

@@ -574,7 +574,7 @@ void SiteManager::on_ac_overload(const net::Message& message) {
     pinned.to_host = notice.host;
     pinned.attempt = app.attempts[notice.task.value()];
     app.recoveries.push_back(std::move(pinned));
-    dispatch_updated_plan(app, notice.task, /*pin=*/true);
+    dispatch_updated_plan(app, notice.task, current_plan(app), /*pin=*/true);
     return;
   }
   reschedule_task(app, notice.task, notice.host, "overload");
@@ -787,7 +787,7 @@ void SiteManager::reschedule_task(ActiveApp& app, afg::TaskId task,
     }
   }
 
-  dispatch_updated_plan(app, task);
+  dispatch_updated_plan(app, task, current_plan(app));
 }
 
 econ::SpendBreakdown SiteManager::quote_current(
@@ -811,8 +811,7 @@ PlanPtr SiteManager::current_plan(const ActiveApp& app) const {
 }
 
 void SiteManager::dispatch_updated_plan(ActiveApp& app, afg::TaskId task,
-                                        bool pin) {
-  PlanPtr plan = current_plan(app);
+                                        const PlanPtr& plan, bool pin) {
   const sched::Assignment& assignment = app.current.at(task.value());
 
   // Targeted re-dispatch: the coordinator already knows the exact machine,
@@ -937,11 +936,13 @@ void SiteManager::stall_recover(ActiveApp& app) {
   // Data Manager (idempotent merge), repeats the start signal (which also
   // replays completion notices we may have missed), re-stages file inputs
   // (duplicate deliveries are dropped on filled ports), and pulls dataflow
-  // inputs from finished parents again.
+  // inputs from finished parents again.  One plan snapshot serves every
+  // re-dispatch: re-sending changes no assignment.
+  const PlanPtr plan = current_plan(app);
   for (const auto& [task_value, assignment] : app.current) {
     if (app.done.contains(task_value)) continue;
     if (!core_.topology().host_up(assignment.primary_host())) continue;
-    dispatch_updated_plan(app, assignment.task);
+    dispatch_updated_plan(app, assignment.task, plan);
   }
 }
 

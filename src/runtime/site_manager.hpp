@@ -181,7 +181,7 @@ class SiteManager {
   /// dataflow pulls for every unfinished task.
   void stall_recover(ActiveApp& app);
   void dispatch_updated_plan(ActiveApp& app, afg::TaskId task,
-                             bool pin = false);
+                             const PlanPtr& plan, bool pin = false);
   void progress_sweep();
   void complete_app(ActiveApp& app, bool success, const std::string& reason);
   [[nodiscard]] PlanPtr current_plan(const ActiveApp& app) const;

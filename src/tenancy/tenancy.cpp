@@ -40,16 +40,25 @@ bool AdmissionController::before(const Entry& a, const Entry& b) const {
   return a.seq < b.seq;
 }
 
-std::optional<std::uint64_t> AdmissionController::admit_next() {
+std::optional<std::uint64_t> AdmissionController::admit_next(
+    const RetryFilter& may_retry) {
   if (queue_.empty()) return std::nullopt;
   if (options_.max_in_flight != 0 &&
       in_flight_.size() >= options_.max_in_flight) {
     return std::nullopt;
   }
-  std::size_t pick = 0;
-  for (std::size_t i = 1; i < queue_.size(); ++i) {
-    if (before(queue_[i], queue_[pick])) pick = i;
+  // The filter runs only for entries that would beat the current pick, so
+  // a long line of deferred entries costs few filter calls.
+  std::optional<std::size_t> found;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    if (found && !before(queue_[i], queue_[*found])) continue;
+    if (queue_[i].deferred && may_retry && !may_retry(queue_[i].handle)) {
+      continue;
+    }
+    found = i;
   }
+  if (!found) return std::nullopt;
+  const std::size_t pick = *found;
   Entry entry = std::move(queue_[pick]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
   const std::uint64_t handle = entry.handle;
@@ -62,6 +71,7 @@ std::optional<std::uint64_t> AdmissionController::admit_next() {
 void AdmissionController::defer(std::uint64_t handle) {
   auto it = in_flight_.find(handle);
   if (it == in_flight_.end()) return;
+  it->second.deferred = true;
   queue_.push_back(std::move(it->second));  // original seq keeps its place
   in_flight_.erase(it);
   ++stats_.deferred;

@@ -7,7 +7,9 @@
 // simply wires it between submit_application() and the runtime:
 //
 //   submit  ->  enqueue()     typed rejections: quota, queue bound
-//   pump    ->  admit_next()  deterministic FIFO / priority order
+//   pump    ->  admit_next()  deterministic FIFO / priority order; the
+//                             caller's filter decides which deferred
+//                             entries may retry now
 //   retry   ->  defer()       schedule lost to contention; resumes in order
 //   finish  ->  complete()    frees the slot and the user's quota share
 //
@@ -17,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -53,7 +56,7 @@ struct TenancyStats {
   std::uint64_t submitted = 0;       ///< enqueue() calls that were accepted
   std::uint64_t rejected = 0;        ///< enqueue() calls turned away (any reason)
   std::uint64_t admitted = 0;        ///< admit_next() grants
-  std::uint64_t deferred = 0;        ///< defer() calls (contention retries)
+  std::uint64_t deferred = 0;        ///< defer() calls (rounds lost to contention)
   std::uint64_t completed = 0;       ///< complete() calls
   std::size_t peak_in_flight = 0;
   std::size_t peak_queue_depth = 0;
@@ -71,15 +74,22 @@ class AdmissionController {
   [[nodiscard]] common::Status enqueue(std::uint64_t handle,
                                        const std::string& user, int priority);
 
+  /// Decides whether a deferred submission may retry now (see admit_next).
+  using RetryFilter = std::function<bool(std::uint64_t handle)>;
+
   /// The next submission allowed to start, or nullopt when the queue is
   /// empty or max_in_flight submissions are already running.  The returned
-  /// handle moves to the in-flight set.
-  [[nodiscard]] std::optional<std::uint64_t> admit_next();
+  /// handle moves to the in-flight set.  A deferred entry is a candidate
+  /// only when `may_retry` (if set) accepts its handle; a skipped entry
+  /// keeps its sequence number, so once accepted it is admitted ahead of
+  /// every later entry.  Skipping is not a deferral.
+  [[nodiscard]] std::optional<std::uint64_t> admit_next(
+      const RetryFilter& may_retry = {});
 
   /// Return an in-flight submission to the queue without touching quota
   /// accounting; its original sequence number keeps its place in line.
   /// Used when scheduling found every candidate machine held by concurrent
-  /// applications — the submission retries after the next completion.
+  /// applications — the caller decides when it may retry (admit_next).
   void defer(std::uint64_t handle);
 
   /// Submission finished (success or failure): frees its in-flight slot and
@@ -111,6 +121,7 @@ class AdmissionController {
     std::string user;
     int priority;
     std::uint64_t seq;
+    bool deferred = false;  ///< lost a round to contention at least once
   };
 
   /// True when `a` should be admitted before `b` under the active policy.

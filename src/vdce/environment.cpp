@@ -700,8 +700,20 @@ common::Expected<AppHandle> VdceEnvironment::submit_application(
 }
 
 void VdceEnvironment::pump_submissions() {
-  while (auto next = admission_.admit_next()) {
+  // Retry pass: every completion starts one, so the pass number is the
+  // completion count.  A deferred submission retries once per pass, one
+  // round at a time, and only when its round could succeed; each retry
+  // then sees the hosts the previous one took.
+  const auto may_retry = [this](std::uint64_t handle) {
+    const SubmissionSlot& slot = *slots_.at(handle);
+    return retry_round_ == 0 &&
+           slot.round_pass != admission_.stats().completed &&
+           has_free_candidate(slot);
+  };
+  while (auto next = admission_.admit_next(may_retry)) {
     SubmissionSlot& slot = *slots_.at(*next);
+    const bool retry = slot.state == AppState::kDeferred;
+    slot.round_pass = admission_.stats().completed;
     slot.admitted = engine_.now();
     slot.released = slot.admitted;
     const std::uint64_t booking = slot.options.reservation.id;
@@ -725,8 +737,24 @@ void VdceEnvironment::pump_submissions() {
         continue;
       }
     }
+    if (retry) retry_round_ = slot.handle.id;
     begin_scheduling(slot);
   }
+}
+
+bool VdceEnvironment::has_free_candidate(const SubmissionSlot& slot) const {
+  sched::SchedulerContext ctx;
+  ctx.topology = &topology_;
+  ctx.local_site = slot.session.site;
+  ctx.k_nearest = options_.runtime.k_nearest;
+  const sched::ReservationTable& held = core_->reservations();
+  for (common::SiteId site :
+       sched::candidate_site_set(ctx, slot.options.sched)) {
+    for (common::HostId host : topology_.site(site).hosts) {
+      if (!held.holder(host).valid()) return true;
+    }
+  }
+  return false;
 }
 
 void VdceEnvironment::begin_scheduling(SubmissionSlot& slot) {
@@ -768,6 +796,11 @@ void VdceEnvironment::on_scheduled(
   auto it = slots_.find(handle);
   if (it == slots_.end()) return;
   SubmissionSlot& slot = *it->second;
+  // A retry round that ends, with success or failure, lets the retry pass
+  // move on to the next deferred submission (finalize_submission pumps by
+  // itself).
+  const bool retry_ended = retry_round_ == handle;
+  if (retry_ended) retry_round_ = 0;
   // Measured from released, not admitted: a reserved submission's parked
   // wait is its own phase, not scheduling time.  released == admitted for
   // every other run.
@@ -778,9 +811,9 @@ void VdceEnvironment::on_scheduled(
     if (table.error().code == common::ErrorCode::kNoFeasibleResource &&
         core_->reservations().any_other(slot.sched_app)) {
       // Machines exist but concurrent applications hold them: re-queue and
-      // retry after the next completion frees its reservations.  At least
-      // one other application is executing (reservations imply it), so a
-      // completion — and with it another pump — is guaranteed.
+      // retry in the next retry pass.  At least one other application is
+      // executing (reservations imply it), so a completion — and with it
+      // a new pass — is guaranteed.
       slot.state = AppState::kDeferred;
       admission_.defer(handle);
       if (obs_.trace_on()) {
@@ -792,6 +825,7 @@ void VdceEnvironment::on_scheduled(
       if (obs_.metrics_on()) {
         obs_.metrics().counter("tenancy.deferrals").add();
       }
+      if (retry_ended) pump_submissions();
       return;
     }
     finalize_submission(slot, table.error());
@@ -860,6 +894,7 @@ void VdceEnvironment::on_scheduled(
                              on_executed(handle, std::move(report));
                            },
                            run.budget);
+  if (retry_ended) pump_submissions();
 }
 
 void VdceEnvironment::on_executed(std::uint64_t handle,
@@ -936,7 +971,7 @@ void VdceEnvironment::finalize_submission(
   }
   --active_submissions_;
   // A freed slot (and freed reservations) may unblock queued or deferred
-  // submissions.
+  // submissions: the completion starts a new retry pass.
   pump_submissions();
 }
 

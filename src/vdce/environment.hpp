@@ -478,6 +478,9 @@ class VdceEnvironment {
     common::SimTime released = 0;
     common::SimDuration scheduling_time = 0;
     common::AppId sched_app;  ///< id of the latest scheduling round
+    /// Retry pass (completion count) in which the latest round was admitted
+    /// (docs/TENANCY.md).
+    std::uint64_t round_pass = 0;
     common::AppId exec_app;   ///< id of the execution (valid once executing)
     common::Expected<runtime::ExecutionReport> result =
         common::Error{common::ErrorCode::kInternal, "submission in flight"};
@@ -485,11 +488,18 @@ class VdceEnvironment {
   };
 
   /// Admit queued submissions while the controller allows, issuing their
-  /// scheduling rounds.  Runs at submit time and after every completion.
-  /// Admitted submissions carrying a reservation ticket whose window has
-  /// not opened yet park in AppState::kReserved instead; a timer fires
-  /// release_reserved() at the window start.
+  /// scheduling rounds.  Runs at submit time, after every completion and
+  /// when a retry round ends.  Admitted submissions carrying a reservation
+  /// ticket whose window has not opened yet park in AppState::kReserved
+  /// instead; a timer fires release_reserved() at the window start.
+  /// Deferred submissions retry one guarded round at a time, at most once
+  /// per retry pass (docs/TENANCY.md).
   void pump_submissions();
+  /// The retry guard: true when some machine of slot's Fig. 2 candidate
+  /// site set is free of every other application's hold.  Without one the
+  /// assignment phase cannot place a task, so a retry would be bound to
+  /// fail.
+  [[nodiscard]] bool has_free_candidate(const SubmissionSlot& slot) const;
   /// Start (or restart, after a deferral) slot's Fig. 2 scheduling round,
   /// binding its reservation booking to the round's AppId first so the site
   /// schedulers can recognise the owner.
@@ -561,6 +571,9 @@ class VdceEnvironment {
   std::unordered_map<std::uint64_t, std::unique_ptr<SubmissionSlot>> slots_;
   std::uint64_t next_handle_ = 0;
   std::size_t active_submissions_ = 0;
+  /// Handle of the deferred submission whose retry round is in flight
+  /// (0 = none).  Set only when the round actually starts.
+  std::uint64_t retry_round_ = 0;
 };
 
 }  // namespace vdce

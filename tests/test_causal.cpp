@@ -19,21 +19,27 @@
 // ---- global allocation counter ---------------------------------------------
 // Replacement operator new that counts every heap allocation in the test
 // binary, so the zero-cost tests can assert that the always-on flight
-// recorder and the disabled-tracing call-site pattern allocate nothing.
+// recorder and the disabled-tracing call-site pattern allocate nothing.  The
+// replacements stay out of line: inlined, GCC sees malloc() memory reach
+// operator delete and reports -Wmismatched-new-delete.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace vdce {
 namespace {

@@ -28,21 +28,27 @@
 
 // ---- global allocation counter ---------------------------------------------
 // Counts every heap allocation in the test binary so the steady-state test
-// can assert the kernel's schedule/fire/cancel path allocates nothing.
+// can assert the kernel's schedule/fire/cancel path allocates nothing.  The
+// replacements stay out of line: inlined, GCC sees malloc() memory reach
+// operator delete and reports -Wmismatched-new-delete.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace vdce {
 namespace {
