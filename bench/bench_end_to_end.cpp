@@ -36,10 +36,10 @@ afg::Afg build_les(VdceEnvironment& env, std::size_t n, common::Rng& rng,
                  .output_data(a_out.size_bytes());
   auto bwd = app.task("Bwd", "matrix.backward_substitution")
                  .output_data(static_cast<double>(n * sizeof(double)));
-  app.link(lu, fwd).value();
+  common::exit_on_error(app.link(lu, fwd), "bench_end_to_end");
   fwd.input_file("/users/VDCE/u/vector_b.dat",
                  static_cast<double>(n * sizeof(double)));
-  app.link(fwd, bwd).value();
+  common::exit_on_error(app.link(fwd, bwd), "bench_end_to_end");
   return app.build().value();
 }
 
@@ -68,12 +68,12 @@ afg::Afg build_c3i(VdceEnvironment& env, common::Rng& rng) {
       app.task("Filter", "signal.fir_filter").output_data(chan_bytes);
   auto detect = app.task("Detect", "signal.detect").output_data(1e4);
   auto fuse = app.task("Energy", "signal.energy").output_data(64);
-  app.link(beam, filter).value();
+  common::exit_on_error(app.link(beam, filter), "bench_end_to_end");
   filter.input_file("/users/VDCE/u/taps",
                     static_cast<double>(taps.size() * sizeof(double)));
-  app.link(filter, detect).value();
+  common::exit_on_error(app.link(filter, detect), "bench_end_to_end");
   detect.input_file("/users/VDCE/u/thresh", 8);
-  app.link(filter, fuse).value();
+  common::exit_on_error(app.link(filter, fuse), "bench_end_to_end");
   return app.build().value();
 }
 

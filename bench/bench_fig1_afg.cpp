@@ -51,11 +51,11 @@ int main() {
   auto bwd = app.task("Backward_Substitution", "matrix.backward_substitution")
                  .output_file("/users/VDCE/user_k/vector_X.dat",
                               static_cast<double>(n * sizeof(double)));
-  app.link(mm, lu).value();
-  app.link(lu, fwd).value();
+  common::exit_on_error(app.link(mm, lu), "bench_fig1_afg");
+  common::exit_on_error(app.link(lu, fwd), "bench_fig1_afg");
   fwd.input_file("/users/VDCE/user_k/vector_b.dat",
                  static_cast<double>(n * sizeof(double)));
-  app.link(fwd, bwd).value();
+  common::exit_on_error(app.link(fwd, bwd), "bench_fig1_afg");
   afg::Afg graph = app.build().value();
 
   std::puts(editor::render_afg_summary(graph).c_str());

@@ -66,12 +66,12 @@ int main() {
                     .output_data(chan_bytes);
   auto detect = app.task("Detect", "signal.detect").output_data(1e4);
   auto fuse = app.task("Track_Energy", "signal.energy").output_data(64);
-  app.link(beam, filter).value();
+  common::exit_on_error(app.link(beam, filter), "c3i_pipeline");
   filter.input_file("/users/VDCE/analyst/lowpass.taps",
                     static_cast<double>(taps.size() * sizeof(double)));
-  app.link(filter, detect).value();
+  common::exit_on_error(app.link(filter, detect), "c3i_pipeline");
   detect.input_file("/users/VDCE/analyst/threshold.dat", 8);
-  app.link(filter, fuse).value();
+  common::exit_on_error(app.link(filter, fuse), "c3i_pipeline");
   afg::Afg graph = app.build().value();
 
   std::puts(editor::render_afg_summary(graph).c_str());

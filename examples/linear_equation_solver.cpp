@@ -42,10 +42,10 @@ int main() {
   auto bwd = app.task("Backward_Substitution", "matrix.backward_substitution")
                  .output_file("/users/VDCE/user_k/vector_X.dat",
                               static_cast<double>(n * sizeof(double)));
-  app.link(lu, fwd).value();
+  common::exit_on_error(app.link(lu, fwd), "linear_equation_solver");
   fwd.input_file("/users/VDCE/user_k/vector_b.dat",
                  static_cast<double>(n * sizeof(double)));
-  app.link(fwd, bwd).value();
+  common::exit_on_error(app.link(fwd, bwd), "linear_equation_solver");
   afg::Afg graph = app.build().value();
 
   // The editor's views: flow graph + per-task properties panels.

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <utility>
@@ -129,5 +131,15 @@ class Status {
  private:
   std::optional<Error> error_;
 };
+
+/// For programs (examples, benches, tools) whose setup steps must not fail
+/// silently: if `result` holds an error, print it after `what` to stderr and
+/// exit(1).  Library code returns the error instead.
+template <typename T>
+void exit_on_error(const Expected<T>& result, const char* what) {
+  if (result) return;
+  std::fprintf(stderr, "%s: %s\n", what, result.error().to_string().c_str());
+  std::exit(1);
+}
 
 }  // namespace vdce::common

@@ -393,8 +393,9 @@ void SiteManager::execute_application(
   app.submitted = core_.now();
   app.budget = core_.options().legacy_no_economy ? 0.0 : budget;
   app.callback = std::move(callback);
-  auto [it, inserted] = apps_.emplace(app_id.value(), std::move(app));
+  const bool inserted = apps_.emplace(app_id.value(), std::move(app)).second;
   assert(inserted);
+  (void)inserted;
   core_.flight(obs::FlightCode::kAppStart, server_.value(), app_id.value());
 
   // Reserve every machine of the allocation table before any other

@@ -3,14 +3,15 @@
 // This is the engine as it stood before the zero-allocation redesign
 // (sim/engine.hpp): a single std::priority_queue of events, each carrying a
 // heap-allocated std::function callback and a shared_ptr<bool> cancellation
-// flag.  It exists for two jobs only:
+// flag.  It is the firing-order reference for sim::Engine:
 //
-//   1. bench_sim_engine measures the redesigned kernel's events/sec against
-//      this one and enforces the >= 5x speedup threshold (BENCH_SIM.json,
-//      docs/SCALING.md).
-//   2. test_sim_kernel's differential suite replays randomised
-//      schedule/cancel/timer programs on both kernels and asserts the
-//      firing order is identical event for event.
+//   1. test_sim_kernel replays randomised schedule/cancel/timer programs on
+//      both kernels and asserts the firing order is identical event for
+//      event.
+//   2. bench_sim_engine replays one daemon/RPC/transfer mix on both kernels,
+//      checks their firing-order checksums match, and reports the Engine's
+//      wall-clock speedup over this one against the 1.4x (full) / 1.25x
+//      (smoke) floors (BENCH_SIM.json, docs/SCALING.md §5).
 //
 // Behavioural quirks are part of the freeze: cancelled events stay queued
 // and advance the clock when popped, a stopped timer's pending tick still

@@ -301,7 +301,9 @@ TEST(ScaleDslFuzz, MalformedInputsReturnErrorsNotCrashes) {
   const std::string valid = editor::write_afg(scale::make_workload(spec));
   for (std::size_t cut = 0; cut < valid.size(); cut += 7) {
     auto r = editor::parse_afg(valid.substr(0, cut));
-    if (r.has_value()) EXPECT_GE(r->task_count(), 0u);
+    if (r.has_value()) {
+      EXPECT_GE(r->task_count(), 0u);
+    }
   }
 }
 

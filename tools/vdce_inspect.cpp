@@ -123,9 +123,9 @@ int selftest() {
   auto right = app.task("right", "synthetic.w600").output_data(2e5);
   auto combine = app.task("combine", "synthetic.w400").output_data(5e4);
   auto finish = app.task("finish", "synthetic.w200");
-  app.link(left, combine).value();
-  app.link(right, combine).value();
-  app.link(combine, finish).value();
+  common::exit_on_error(app.link(left, combine), "vdce-inspect selftest");
+  common::exit_on_error(app.link(right, combine), "vdce-inspect selftest");
+  common::exit_on_error(app.link(combine, finish), "vdce-inspect selftest");
   afg::Afg graph = app.build().value();
 
   auto report = env.run_application(graph, session, RunOptions{});
