@@ -24,6 +24,8 @@ namespace {
 
 using namespace vdce;
 
+const net::MsgKind kPingPong("raw.pingpong");
+
 struct PatternResult {
   double total_time = 0.0;
   std::uint64_t messages = 0;
@@ -155,8 +157,7 @@ PatternResult run_ping_pong_messages(VdceEnvironment& env, int rounds) {
           *finished = env.now();
           return;
         }
-        (void)env.fabric().send(net::Message{from, to, "raw.pingpong", 4096,
-                                             std::any()});
+        (void)env.fabric().send(net::Message{from, to, kPingPong, 4096});
         // The reply leg fires when the message would have been processed;
         // emulate with an engine callback after the transfer time.
         env.engine().schedule(

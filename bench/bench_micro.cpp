@@ -58,6 +58,7 @@ BENCHMARK(BM_PeriodicTimers)->Arg(16)->Arg(256);
 
 void BM_FabricSendDeliver(benchmark::State& state) {
   net::Topology topology = make_campus_pair();
+  const net::MsgKind kind("bench");
   for (auto _ : state) {
     state.PauseTiming();
     sim::Engine engine;
@@ -70,8 +71,8 @@ void BM_FabricSendDeliver(benchmark::State& state) {
     for (int i = 0; i < 1000; ++i) {
       (void)fabric.send(net::Message{
           common::HostId(static_cast<std::uint32_t>(i % 12)),
-          common::HostId(static_cast<std::uint32_t>((i + 5) % 12)), "bench",
-          128, {}});
+          common::HostId(static_cast<std::uint32_t>((i + 5) % 12)), kind,
+          128});
     }
     engine.run();
     benchmark::DoNotOptimize(sink);

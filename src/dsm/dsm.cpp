@@ -1,6 +1,5 @@
 #include "dsm/dsm.hpp"
 
-#include <any>
 #include <cassert>
 #include <functional>
 
@@ -61,6 +60,18 @@ struct BarrierArrive {
 };
 
 constexpr double kCtrlBytes = 96;
+
+// Message kinds (the "dsm." family the environment routes here).
+const net::MsgKind kGet{"dsm.get"};
+const net::MsgKind kFetch{"dsm.fetch"};
+const net::MsgKind kFetchResp{"dsm.fetch_resp"};
+const net::MsgKind kInv{"dsm.inv"};
+const net::MsgKind kInvAck{"dsm.inv_ack"};
+const net::MsgKind kData{"dsm.data"};
+const net::MsgKind kLock{"dsm.lock"};
+const net::MsgKind kLockGrant{"dsm.lock_grant"};
+const net::MsgKind kBarrier{"dsm.barrier"};
+const net::MsgKind kUnlock{"dsm.unlock"};
 
 }  // namespace
 
@@ -144,9 +155,8 @@ common::Expected<tasklib::Value> DsmRuntime::home_value(
 }
 
 void DsmRuntime::send(common::HostId from, common::HostId to,
-                      const std::string& type, double bytes,
-                      std::any payload) {
-  (void)fabric_.send(net::Message{from, to, type, bytes, std::move(payload)});
+                      net::MsgKind kind, double bytes, net::Payload payload) {
+  (void)fabric_.send(net::Message{from, to, kind, bytes, std::move(payload)});
 }
 
 void DsmRuntime::client_read(common::HostId host, const std::string& name,
@@ -162,7 +172,7 @@ void DsmRuntime::client_read(common::HostId host, const std::string& name,
   ++stats_.read_misses;
   std::uint64_t op = next_op_++;
   ops.reads[op] = std::move(cb);
-  send(host, home_of(name), "dsm.get", kCtrlBytes,
+  send(host, home_of(name), kGet, kCtrlBytes,
        GetReq{name, op, host, /*exclusive=*/false, {}});
 }
 
@@ -181,7 +191,7 @@ void DsmRuntime::client_write(common::HostId host, const std::string& name,
   ++stats_.write_misses;
   std::uint64_t op = next_op_++;
   ops.dones[op] = std::move(cb);
-  send(host, home_of(name), "dsm.get", kCtrlBytes,
+  send(host, home_of(name), kGet, kCtrlBytes,
        GetReq{name, op, host, /*exclusive=*/true, std::move(value)});
 }
 
@@ -189,7 +199,7 @@ void DsmRuntime::client_acquire(common::HostId host, const std::string& name,
                                 DsmClient::DoneCallback cb) {
   std::uint64_t op = next_op_++;
   local_[host].dones[op] = std::move(cb);
-  send(host, home_of("lock:" + name), "dsm.lock", kCtrlBytes,
+  send(host, home_of("lock:" + name), kLock, kCtrlBytes,
        LockReq{name, op, host});
 }
 
@@ -197,7 +207,7 @@ void DsmRuntime::client_release(common::HostId host, const std::string& name,
                                 DsmClient::DoneCallback cb) {
   std::uint64_t op = next_op_++;
   local_[host].dones[op] = std::move(cb);
-  send(host, home_of("lock:" + name), "dsm.unlock", kCtrlBytes,
+  send(host, home_of("lock:" + name), kUnlock, kCtrlBytes,
        Unlock{name, op, host});
 }
 
@@ -206,7 +216,7 @@ void DsmRuntime::client_barrier(common::HostId host, const std::string& name,
                                 DsmClient::DoneCallback cb) {
   std::uint64_t op = next_op_++;
   local_[host].dones[op] = std::move(cb);
-  send(host, home_of("barrier:" + name), "dsm.barrier", kCtrlBytes,
+  send(host, home_of("barrier:" + name), kBarrier, kCtrlBytes,
        BarrierArrive{name, op, host, parties});
 }
 
@@ -225,20 +235,20 @@ void DsmRuntime::home_service_next(const std::string& name) {
     if (obj.owner.valid() && obj.owner != req.requester) {
       ++stats_.owner_recalls;
       ++obj.inv_acks_outstanding;
-      send(home, obj.owner, "dsm.fetch", kCtrlBytes,
+      send(home, obj.owner, kFetch, kCtrlBytes,
            Fetch{name, /*downgrade=*/false});
     }
     for (common::HostId sharer : obj.sharers) {
       if (sharer == req.requester) continue;
       ++stats_.invalidations_sent;
       ++obj.inv_acks_outstanding;
-      send(home, sharer, "dsm.inv", kCtrlBytes, Inv{name});
+      send(home, sharer, kInv, kCtrlBytes, Inv{name});
     }
   } else if (obj.owner.valid() && obj.owner != req.requester) {
     // Read while another host holds M: downgrade the owner to S.
     ++stats_.owner_recalls;
     ++obj.inv_acks_outstanding;
-    send(home, obj.owner, "dsm.fetch", kCtrlBytes,
+    send(home, obj.owner, kFetch, kCtrlBytes,
          Fetch{name, /*downgrade=*/true});
   }
 
@@ -255,11 +265,11 @@ void DsmRuntime::home_grant(const std::string& name,
     obj.owner = req.requester;
     // The new value is installed at the owner; the home copy is stale until
     // the next recall.
-    send(home, req.requester, "dsm.data", obj.size_bytes,
+    send(home, req.requester, kData, obj.size_bytes,
          DataGrant{name, req.op, true, req.new_value});
   } else {
     obj.sharers.insert(req.requester);
-    send(home, req.requester, "dsm.data", obj.size_bytes,
+    send(home, req.requester, kData, obj.size_bytes,
          DataGrant{name, req.op, false, obj.value});
   }
   obj.queue.pop_front();
@@ -269,20 +279,18 @@ void DsmRuntime::home_grant(const std::string& name,
 
 // ---- message dispatch ---------------------------------------------------------------
 
-void DsmRuntime::handle(const net::Message& message) {
-  const std::string& type = message.type;
-
-  if (type == "dsm.get") {
-    const auto& req = std::any_cast<const GetReq&>(message.payload);
+bool DsmRuntime::handle(const net::Message& message) {
+  if (message.kind == kGet) {
+    const auto& req = message.payload.as<GetReq>();
     ObjectHome& obj = objects_.at(req.name);
     obj.queue.push_back(ObjectHome::Pending{req.requester, req.exclusive,
                                             req.op, req.new_value});
     home_service_next(req.name);
-    return;
+    return true;
   }
 
-  if (type == "dsm.fetch") {
-    const auto& fetch = std::any_cast<const Fetch&>(message.payload);
+  if (message.kind == kFetch) {
+    const auto& fetch = message.payload.as<Fetch>();
     LocalOps& ops = local_[message.dst];
     auto cached = ops.cache.find(fetch.name);
     tasklib::Value value;
@@ -292,13 +300,13 @@ void DsmRuntime::handle(const net::Message& message) {
           fetch.downgrade ? CacheState::kShared : CacheState::kInvalid;
     }
     const ObjectHome& obj = objects_.at(fetch.name);
-    send(message.dst, message.src, "dsm.fetch_resp", obj.size_bytes,
+    send(message.dst, message.src, kFetchResp, obj.size_bytes,
          FetchResp{fetch.name, message.dst, fetch.downgrade, std::move(value)});
-    return;
+    return true;
   }
 
-  if (type == "dsm.fetch_resp") {
-    const auto& resp = std::any_cast<const FetchResp&>(message.payload);
+  if (message.kind == kFetchResp) {
+    const auto& resp = message.payload.as<FetchResp>();
     ObjectHome& obj = objects_.at(resp.name);
     obj.value = resp.value;
     if (resp.downgraded) {
@@ -308,34 +316,34 @@ void DsmRuntime::handle(const net::Message& message) {
     if (--obj.inv_acks_outstanding == 0 && !obj.queue.empty()) {
       home_grant(resp.name, obj.queue.front());
     }
-    return;
+    return true;
   }
 
-  if (type == "dsm.inv") {
-    const auto& inv = std::any_cast<const Inv&>(message.payload);
+  if (message.kind == kInv) {
+    const auto& inv = message.payload.as<Inv>();
     LocalOps& ops = local_[message.dst];
     auto cached = ops.cache.find(inv.name);
     if (cached != ops.cache.end()) {
       cached->second.state = CacheState::kInvalid;
       cached->second.value = {};
     }
-    send(message.dst, message.src, "dsm.inv_ack", kCtrlBytes,
+    send(message.dst, message.src, kInvAck, kCtrlBytes,
          InvAck{inv.name, message.dst});
-    return;
+    return true;
   }
 
-  if (type == "dsm.inv_ack") {
-    const auto& ack = std::any_cast<const InvAck&>(message.payload);
+  if (message.kind == kInvAck) {
+    const auto& ack = message.payload.as<InvAck>();
     ObjectHome& obj = objects_.at(ack.name);
     obj.sharers.erase(ack.from);
     if (--obj.inv_acks_outstanding == 0 && !obj.queue.empty()) {
       home_grant(ack.name, obj.queue.front());
     }
-    return;
+    return true;
   }
 
-  if (type == "dsm.data") {
-    const auto& grant = std::any_cast<const DataGrant&>(message.payload);
+  if (message.kind == kData) {
+    const auto& grant = message.payload.as<DataGrant>();
     LocalOps& ops = local_[message.dst];
     CachedCopy& copy = ops.cache[grant.name];
     copy.state = grant.exclusive ? CacheState::kModified : CacheState::kShared;
@@ -355,26 +363,26 @@ void DsmRuntime::handle(const net::Message& message) {
         cb(copy.value);
       }
     }
-    return;
+    return true;
   }
 
-  if (type == "dsm.lock") {
-    const auto& req = std::any_cast<const LockReq&>(message.payload);
+  if (message.kind == kLock) {
+    const auto& req = message.payload.as<LockReq>();
     LockHome& lock = locks_[req.name];
     if (!lock.held) {
       lock.held = true;
       lock.holder = req.requester;
       ++stats_.lock_grants;
-      send(message.dst, req.requester, "dsm.lock_grant", kCtrlBytes,
+      send(message.dst, req.requester, kLockGrant, kCtrlBytes,
            LockGrant{req.name, req.op});
     } else {
       lock.waiters.emplace_back(req.requester, req.op);
     }
-    return;
+    return true;
   }
 
-  if (type == "dsm.lock_grant") {
-    const auto& grant = std::any_cast<const LockGrant&>(message.payload);
+  if (message.kind == kLockGrant) {
+    const auto& grant = message.payload.as<LockGrant>();
     LocalOps& ops = local_[message.dst];
     auto done = ops.dones.find(grant.op);
     if (done != ops.dones.end()) {
@@ -382,11 +390,11 @@ void DsmRuntime::handle(const net::Message& message) {
       ops.dones.erase(done);
       cb();
     }
-    return;
+    return true;
   }
 
-  if (type == "dsm.barrier") {
-    const auto& arrive = std::any_cast<const BarrierArrive&>(message.payload);
+  if (message.kind == kBarrier) {
+    const auto& arrive = message.payload.as<BarrierArrive>();
     BarrierHome& barrier = barriers_[arrive.name];
     barrier.arrived.emplace_back(arrive.requester, arrive.op);
     if (barrier.arrived.size() >= arrive.parties) {
@@ -395,19 +403,19 @@ void DsmRuntime::handle(const net::Message& message) {
       auto generation = std::move(barrier.arrived);
       barrier.arrived.clear();
       for (const auto& [host, op] : generation) {
-        send(message.dst, host, "dsm.lock_grant", kCtrlBytes,
+        send(message.dst, host, kLockGrant, kCtrlBytes,
              LockGrant{arrive.name, op});
       }
     }
-    return;
+    return true;
   }
 
-  if (type == "dsm.unlock") {
-    const auto& req = std::any_cast<const Unlock&>(message.payload);
+  if (message.kind == kUnlock) {
+    const auto& req = message.payload.as<Unlock>();
     LockHome& lock = locks_[req.name];
     assert(lock.held);
     // Acknowledge the releaser, then pass the lock down the FIFO.
-    send(message.dst, req.requester, "dsm.lock_grant", kCtrlBytes,
+    send(message.dst, req.requester, kLockGrant, kCtrlBytes,
          LockGrant{req.name, req.op});
     if (lock.waiters.empty()) {
       lock.held = false;
@@ -417,11 +425,12 @@ void DsmRuntime::handle(const net::Message& message) {
       lock.waiters.pop_front();
       lock.holder = next_host;
       ++stats_.lock_grants;
-      send(message.dst, next_host, "dsm.lock_grant", kCtrlBytes,
+      send(message.dst, next_host, kLockGrant, kCtrlBytes,
            LockGrant{req.name, next_op});
     }
-    return;
+    return true;
   }
+  return false;
 }
 
 }  // namespace vdce::dsm

@@ -120,8 +120,8 @@ class DsmClient {
 };
 
 /// The DSM service: owns per-host protocol state and binds to the fabric
-/// alongside the regular host agents (its messages are routed here by type
-/// prefix "dsm.").
+/// alongside the regular host agents (its "dsm." message kinds are routed
+/// here).
 class DsmRuntime {
  public:
   /// `home_of` maps an object/lock name to its home host; defaults to a
@@ -139,8 +139,9 @@ class DsmRuntime {
   /// Client handle for code "running on" `host`.
   [[nodiscard]] DsmClient client(common::HostId host);
 
-  /// Dispatch a "dsm.*" message (called by the environment's host agents).
-  void handle(const net::Message& message);
+  /// Handle a "dsm.*" message (called by the environment's host agents).
+  /// Returns false, consuming nothing, for any other kind.
+  bool handle(const net::Message& message);
 
   [[nodiscard]] common::HostId home_of(const std::string& name) const;
   [[nodiscard]] const DsmStats& stats() const noexcept { return stats_; }
@@ -209,8 +210,8 @@ class DsmRuntime {
 
   void home_service_next(const std::string& name);
   void home_grant(const std::string& name, const ObjectHome::Pending& req);
-  void send(common::HostId from, common::HostId to, const std::string& type,
-            double bytes, std::any payload);
+  void send(common::HostId from, common::HostId to, net::MsgKind kind,
+            double bytes, net::Payload payload);
 
   net::Fabric& fabric_;
   std::vector<common::HostId> hosts_;

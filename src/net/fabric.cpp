@@ -51,7 +51,7 @@ common::Expected<common::SimTime> Fabric::send(Message msg) {
 
   ++stats_.sent;
   stats_.bytes_sent += msg.size_bytes;
-  ++stats_.sent_by_type[msg.type];
+  ++sent_by_kind_[msg.kind.id()];
 
   LinkSpec link = topology_.link_between(msg.src, msg.dst);
   if (fault_ != nullptr) {
@@ -85,7 +85,8 @@ common::Expected<common::SimTime> Fabric::send(Message msg) {
     if (obs_->trace_on()) {
       obs_->trace().span(
           "fabric", "fabric.transfer", engine_.now(), when, msg.src.value(),
-          {obs::arg("type", msg.type), obs::arg("bytes", msg.size_bytes),
+          {obs::arg("type", std::string(msg.kind.name())),
+           obs::arg("bytes", msg.size_bytes),
            obs::arg("src", msg.src.value()), obs::arg("dst", msg.dst.value())},
           obs::Causal{msg.cause.app, msg.cause.task, msg.cause.src_task, {}});
     }
@@ -105,12 +106,26 @@ std::uint64_t Fabric::segment_key(HostId src, HostId dst) const {
 }
 
 void Fabric::multicast(HostId src, const std::vector<HostId>& dsts,
-                       const std::string& type, double size_bytes,
-                       const std::any& payload) {
+                       MsgKind kind, double size_bytes,
+                       const Payload& payload) {
   for (HostId dst : dsts) {
     // Failure of one destination must not abort the rest of the multicast.
-    (void)send(Message{src, dst, type, size_bytes, payload});
+    (void)send(Message{src, dst, kind, size_bytes, payload});
   }
+}
+
+const FabricStats& Fabric::stats() const {
+  stats_.sent_by_type.clear();
+  for (std::size_t id = 0; id < sent_by_kind_.size(); ++id) {
+    if (sent_by_kind_[id] == 0) continue;
+    stats_.sent_by_type.emplace(MsgKind::from_id(id).name(), sent_by_kind_[id]);
+  }
+  return stats_;
+}
+
+void Fabric::reset_stats() {
+  stats_.reset();
+  sent_by_kind_.fill(0);
 }
 
 void Fabric::deliver(Message msg) {

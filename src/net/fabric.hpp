@@ -9,13 +9,14 @@
 // silently dropped (exactly the behaviour echo-based failure detection
 // relies on, §4.1).
 //
-// Payloads are type-erased (std::any): control messages carry small structs
-// defined by their sender/receiver pair, data messages carry byte buffers.
-// The alternative — a closed variant of every message type — would couple
-// this substrate to every layer above it.
+// Messages are typed (net/message.hpp): an interned MsgKind names the
+// message and an inline Payload carries the small struct its sender and
+// receiver agree on.  Neither is a closed list, so this substrate still
+// knows nothing of the layers above it, and neither allocates, so the
+// daemons' steady traffic never touches the heap.
 #pragma once
 
-#include <any>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -24,35 +25,22 @@
 #include <vector>
 
 #include "common/ids.hpp"
+#include "net/message.hpp"
 #include "net/topology.hpp"
 #include "obs/obs.hpp"
 #include "sim/engine.hpp"
 
 namespace vdce::net {
 
-/// Causal identity a sender may stamp on a message so the trace layer can
-/// link the resulting `fabric.transfer` span into the per-application causal
-/// DAG (obs/causal.hpp): which application the bytes belong to, which task
-/// consumes them, and which task produced them.  All-default means "control
-/// traffic" and adds nothing to the record.
-struct MessageCause {
-  std::uint32_t app = obs::kNoCausalId;
-  std::uint32_t task = obs::kNoCausalId;      ///< consumer task
-  std::uint32_t src_task = obs::kNoCausalId;  ///< producer task
-};
-
-struct Message {
-  HostId src;
-  HostId dst;
-  std::string type;       ///< e.g. "echo", "rat", "dm.setup", "dm.data"
-  double size_bytes = 64;  ///< wire size charged to the link (headers incl.)
-  std::any payload;
-  MessageCause cause;     ///< optional causal tag (data-plane traffic)
-};
+// The fabric's delivery event captures `this` and the whole message.
+static_assert(sizeof(Message) + sizeof(void*) <= sim::Task::kInlineBytes,
+              "net::Message no longer fits the fabric's delivery closure");
 
 /// Per-fabric traffic counters, broken down by message type — the raw data
 /// behind the monitoring-overhead experiment (E4) and Fig. 4's message-flow
-/// accounting.
+/// accounting.  The fabric counts sends per MsgKind in a flat array;
+/// `sent_by_type` is that count keyed by kind name, filled when stats() is
+/// read, and lists only kinds sent at least once.
 struct FabricStats {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
@@ -105,7 +93,7 @@ class Fabric {
   Fabric& operator=(const Fabric&) = delete;
 
   /// Install the message dispatcher for a host (its "node daemon").  Each
-  /// host has exactly one handler; layers above demultiplex on `type`.
+  /// host has exactly one handler; layers above demultiplex on `kind`.
   void bind(HostId host, Handler handler);
 
   /// Remove a host's handler (host decommissioned).
@@ -120,12 +108,11 @@ class Fabric {
 
   /// Send the same message to many destinations ("multicast" in the paper —
   /// implemented as iterated unicast, as site-to-site multicast was).
-  void multicast(HostId src, const std::vector<HostId>& dsts,
-                 const std::string& type, double size_bytes,
-                 const std::any& payload);
+  void multicast(HostId src, const std::vector<HostId>& dsts, MsgKind kind,
+                 double size_bytes, const Payload& payload);
 
-  [[nodiscard]] const FabricStats& stats() const noexcept { return stats_; }
-  void reset_stats() { stats_.reset(); }
+  [[nodiscard]] const FabricStats& stats() const;
+  void reset_stats();
 
   /// Attach a fault interceptor (null detaches).  See FaultInterceptor.
   void set_fault_interceptor(FaultInterceptor* interceptor) {
@@ -160,7 +147,9 @@ class Fabric {
   sim::Engine& engine_;
   Topology& topology_;
   std::unordered_map<HostId, Handler> handlers_;
-  FabricStats stats_;
+  /// Counters; `sent_by_type` is rebuilt from sent_by_kind_ by stats().
+  mutable FabricStats stats_;
+  std::array<std::uint64_t, MsgKind::kMaxKinds> sent_by_kind_{};
   FaultInterceptor* fault_ = nullptr;
   obs::Observability* obs_ = nullptr;
   /// Cached metric handles (valid for the registry's lifetime), so the send

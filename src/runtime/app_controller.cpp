@@ -1,39 +1,55 @@
 #include "runtime/app_controller.hpp"
 
-#include <any>
+#include <algorithm>
 
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 
 namespace vdce::runtime {
 
+void LoadCheckSweep::add(AppController& controller) {
+  if (controllers_.empty()) {
+    const common::SimDuration period = core_.options().controller_period;
+    timer_ = core_.engine().every(period, [this] { tick(); }, period);
+  }
+  controllers_.push_back(&controller);
+}
+
+void LoadCheckSweep::remove(AppController& controller) {
+  std::erase(controllers_, &controller);
+  if (controllers_.empty()) timer_.cancel();
+}
+
+void LoadCheckSweep::tick() {
+  for (AppController* controller : controllers_) controller->check_load();
+}
+
 void AppController::start() {
   if (started_) return;
   started_ = true;
-  timer_ = core_.engine().every(core_.options().controller_period,
-                                [this] { check_load(); },
-                                core_.options().controller_period);
+  sweep_.add(*this);
 }
 
-void AppController::stop() { timer_.cancel(); }
+void AppController::stop() {
+  if (!started_) return;
+  started_ = false;
+  sweep_.remove(*this);
+}
 
 void AppController::handle(const net::Message& message) {
-  if (message.type == msg::kGmExec) {
+  if (message.kind == msg::kGmExec) {
     on_exec(message);
-  } else if (message.type == msg::kSmStart) {
-    const auto& signal = std::any_cast<const StartSignal&>(message.payload);
-    dm_.start_app(signal.app);
-  } else if (message.type == msg::kSmSuspend) {
-    const auto& signal = std::any_cast<const SuspendSignal&>(message.payload);
-    dm_.suspend(signal.app);
-  } else if (message.type == msg::kSmResume) {
-    const auto& signal = std::any_cast<const SuspendSignal&>(message.payload);
-    dm_.resume(signal.app);
+  } else if (message.kind == msg::kSmStart) {
+    dm_.start_app(message.payload.as<StartSignal>().app);
+  } else if (message.kind == msg::kSmSuspend) {
+    dm_.suspend(message.payload.as<SuspendSignal>().app);
+  } else if (message.kind == msg::kSmResume) {
+    dm_.resume(message.payload.as<SuspendSignal>().app);
   }
 }
 
 void AppController::on_exec(const net::Message& message) {
-  const auto& request = std::any_cast<const ExecRequest&>(message.payload);
+  const auto& request = message.payload.as<ExecRequest>();
   PlanPtr plan = request.plan;
   // Activate the Data Manager; once its channels are acknowledged, report
   // readiness to the origin Site Manager.
@@ -42,7 +58,7 @@ void AppController::on_exec(const net::Message& message) {
       [this, plan] {
         (void)core_.fabric().send(net::Message{
             host_, plan->origin, msg::kAcReady, wire::kSmall,
-            std::any(ReadyNotice{plan->app, host_})});
+            ReadyNotice{plan->app, host_}});
       },
       request.pin);
 }
@@ -77,8 +93,7 @@ void AppController::check_load() {
     }
     (void)core_.fabric().send(net::Message{
         host_, aborted.origin, msg::kAcOverload, wire::kSmall,
-        std::any(OverloadNotice{aborted.app, aborted.task, host_,
-                                h.state.cpu_load})});
+        OverloadNotice{aborted.app, aborted.task, host_, h.state.cpu_load}});
   }
 }
 

@@ -15,6 +15,8 @@
 // DESIGN.md.)
 #pragma once
 
+#include <vector>
+
 #include "common/ids.hpp"
 #include "net/fabric.hpp"
 #include "runtime/core.hpp"
@@ -24,25 +26,55 @@
 
 namespace vdce::runtime {
 
+class AppController;
+
+/// The Application Controllers' periodic load check as one sweep: a single
+/// timer runs every started controller's check_load() in start order, once
+/// per controller_period.  The first controller to start arms the timer,
+/// with the first tick one period later, so a fleet started at one instant
+/// checks each host at the same instants, and in the same order, as one
+/// timer per controller would.  A controller started later joins the
+/// sweep's phase.  One per environment.
+class LoadCheckSweep {
+ public:
+  explicit LoadCheckSweep(RuntimeCore& core) : core_(core) {}
+  LoadCheckSweep(const LoadCheckSweep&) = delete;
+  LoadCheckSweep& operator=(const LoadCheckSweep&) = delete;
+
+  void add(AppController& controller);
+  void remove(AppController& controller);
+
+ private:
+  void tick();
+
+  RuntimeCore& core_;
+  std::vector<AppController*> controllers_;
+  sim::TimerHandle timer_;
+};
+
 class AppController {
  public:
-  AppController(RuntimeCore& core, common::HostId host, DataManager& dm)
-      : core_(core), host_(host), dm_(dm) {}
+  AppController(RuntimeCore& core, common::HostId host, DataManager& dm,
+                LoadCheckSweep& sweep)
+      : core_(core), host_(host), dm_(dm), sweep_(sweep) {}
 
-  /// Begin periodic load monitoring of this machine.
+  /// Begin periodic load monitoring of this machine (join the sweep).
   void start();
   void stop();
 
   void handle(const net::Message& message);
 
+  /// One load check: terminate the host's running tasks and request their
+  /// rescheduling when its load is past the overload threshold.
+  void check_load();
+
  private:
   void on_exec(const net::Message& message);
-  void check_load();
 
   RuntimeCore& core_;
   common::HostId host_;
   DataManager& dm_;
-  sim::TimerHandle timer_;
+  LoadCheckSweep& sweep_;
   bool started_ = false;
 };
 

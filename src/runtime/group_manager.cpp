@@ -1,11 +1,25 @@
 #include "runtime/group_manager.hpp"
 
-#include <any>
 #include <cmath>
 
 #include "common/logging.hpp"
 
 namespace vdce::runtime {
+
+GroupManager::GroupManager(RuntimeCore& core, common::GroupId group,
+                           common::HostId leader, common::HostId site_server)
+    : core_(core), group_(group), leader_(leader), site_server_(site_server) {
+  const net::Group& g = core_.topology().group(group_);
+  members_.reserve(g.members.size());
+  for (common::HostId host : g.members) members_.push_back(Member{host});
+}
+
+GroupManager::Member* GroupManager::member(common::HostId host) {
+  for (Member& m : members_) {
+    if (m.host == host) return &m;
+  }
+  return nullptr;
+}
 
 void GroupManager::start() {
   if (started_) return;
@@ -18,60 +32,56 @@ void GroupManager::start() {
 void GroupManager::stop() { echo_timer_.cancel(); }
 
 void GroupManager::handle(const net::Message& message) {
-  if (message.type == msg::kMonReport) {
+  if (message.kind == msg::kMonReport) {
     on_mon_report(message);
-  } else if (message.type == msg::kGmEchoReply) {
+  } else if (message.kind == msg::kGmEchoReply) {
     on_echo_reply(message);
-  } else if (message.type == msg::kSmRatGm) {
+  } else if (message.kind == msg::kSmRatGm) {
     on_rat(message);
   }
 }
 
 void GroupManager::on_mon_report(const net::Message& message) {
-  const auto& report = std::any_cast<const MonReport&>(message.payload);
+  const auto& report = message.payload.as<MonReport>();
   ++reports_received_;
   if (core_.metering()) core_.meters().counter("monitor.reports_received").add();
+  Member* m = member(report.host);
+  if (m == nullptr) return;  // monitors report to their own group's leader
 
   // Any traffic from a host is proof of life: without this, an echo round
   // that straddles a host's recovery would declare it down again right
   // after its first post-recovery workload report.
-  echo_replied_.insert(report.host);
-  const bool recovered = reported_down_.erase(report.host) > 0;
+  m->echo_replied = true;
+  const bool recovered = m->reported_down;
+  m->reported_down = false;
 
   // Significant-change filter: forward only if the load moved by more than
   // the threshold since the last *forwarded* value.  First reports and
   // recovery reports always pass (the Site Manager must re-mark the host
   // up even if its load happens to match the last forwarded value).
-  auto it = last_forwarded_load_.find(report.host);
   const bool significant =
-      recovered || it == last_forwarded_load_.end() ||
-      std::fabs(report.sample.cpu_load - it->second) >=
+      recovered || !m->last_forwarded_load ||
+      std::fabs(report.sample.cpu_load - *m->last_forwarded_load) >=
           core_.options().significant_change;
   if (!significant) return;
 
-  last_forwarded_load_[report.host] = report.sample.cpu_load;
+  m->last_forwarded_load = report.sample.cpu_load;
   ++reports_forwarded_;
   if (core_.metering()) {
     core_.meters().counter("monitor.reports_forwarded").add();
   }
-  GmReport batch;
-  batch.changed.push_back(report);
   (void)core_.fabric().send(net::Message{leader_, site_server_, msg::kGmReport,
-                                         wire::gm_report(batch.changed.size()),
-                                         std::any(std::move(batch))});
+                                         wire::gm_report(), report});
 }
 
 void GroupManager::echo_tick() {
-  const net::Group& group = core_.topology().group(group_);
-
   // Close the previous round first: anyone silent is presumed failed.
   if (echo_outstanding_) {
-    for (common::HostId member : group.members) {
+    for (Member& m : members_) {
+      const common::HostId member = m.host;
       if (member == leader_) continue;  // the leader vouches for itself
-      if (echo_replied_.contains(member) || reported_down_.contains(member)) {
-        continue;
-      }
-      reported_down_.insert(member);
+      if (m.echo_replied || m.reported_down) continue;
+      m.reported_down = true;
       VDCE_LOG(kInfo, "group-mgr", core_.now())
           << "host " << core_.topology().host(member).spec.name
           << " failed echo round " << echo_seq_;
@@ -90,13 +100,13 @@ void GroupManager::echo_tick() {
       }
       (void)core_.fabric().send(net::Message{leader_, site_server_,
                                              msg::kGmHostDown, wire::kSmall,
-                                             std::any(HostDownNotice{member})});
+                                             HostDownNotice{member}});
     }
   }
 
   // Open the next round.
   ++echo_seq_;
-  echo_replied_.clear();
+  for (Member& m : members_) m.echo_replied = false;
   echo_outstanding_ = true;
   if (core_.metering()) core_.meters().counter("monitor.echo_rounds").add();
   if (core_.tracing()) {
@@ -105,22 +115,22 @@ void GroupManager::echo_tick() {
                                {obs::arg("group", group_.value()),
                                 obs::arg("round", echo_seq_)});
   }
-  for (common::HostId member : group.members) {
-    if (member == leader_) continue;
-    (void)core_.fabric().send(net::Message{leader_, member, msg::kGmEcho,
+  for (const Member& m : members_) {
+    if (m.host == leader_) continue;
+    (void)core_.fabric().send(net::Message{leader_, m.host, msg::kGmEcho,
                                            wire::kEcho,
-                                           std::any(EchoPacket{leader_, echo_seq_})});
+                                           EchoPacket{leader_, echo_seq_}});
   }
 }
 
 void GroupManager::on_echo_reply(const net::Message& message) {
-  const auto& echo = std::any_cast<const EchoPacket&>(message.payload);
+  const auto& echo = message.payload.as<EchoPacket>();
   if (echo.seq != echo_seq_) return;  // stale reply from an earlier round
-  echo_replied_.insert(message.src);
+  if (Member* m = member(message.src)) m->echo_replied = true;
 }
 
 void GroupManager::on_rat(const net::Message& message) {
-  const auto& rat = std::any_cast<const RatMulticast&>(message.payload);
+  const auto& rat = message.payload.as<RatMulticast>();
   const net::Group& group = core_.topology().group(group_);
 
   // Forward an execution request to the Application Controller of each
@@ -139,7 +149,7 @@ void GroupManager::on_rat(const net::Message& message) {
     if (!involved) continue;
     (void)core_.fabric().send(net::Message{leader_, member, msg::kGmExec,
                                            wire::kSmall,
-                                           std::any(ExecRequest{rat.plan, member})});
+                                           ExecRequest{rat.plan, member}});
   }
 }
 

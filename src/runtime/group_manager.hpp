@@ -17,8 +17,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
+#include <vector>
 
 #include "common/ids.hpp"
 #include "net/fabric.hpp"
@@ -31,8 +31,7 @@ namespace vdce::runtime {
 class GroupManager {
  public:
   GroupManager(RuntimeCore& core, common::GroupId group, common::HostId leader,
-               common::HostId site_server)
-      : core_(core), group_(group), leader_(leader), site_server_(site_server) {}
+               common::HostId site_server);
 
   void start();
   void stop();
@@ -53,6 +52,19 @@ class GroupManager {
   void on_rat(const net::Message& message);
   void echo_tick();
 
+  /// Per-member bookkeeping, in the group's member order.  Membership never
+  /// changes, so the vector is built once and every echo round only resets
+  /// flags: the round allocates nothing.
+  struct Member {
+    common::HostId host;
+    /// Last load actually forwarded, for the change filter.
+    std::optional<double> last_forwarded_load{};
+    bool echo_replied = false;   ///< replied to the current echo round
+    bool reported_down = false;  ///< already reported (no repeat notices)
+  };
+  /// The member entry of `host`; null for a host outside the group.
+  [[nodiscard]] Member* member(common::HostId host);
+
   RuntimeCore& core_;
   common::GroupId group_;
   common::HostId leader_;
@@ -60,12 +72,7 @@ class GroupManager {
   sim::TimerHandle echo_timer_;
   bool started_ = false;
 
-  /// Last value actually forwarded per host, for the change filter.
-  std::unordered_map<common::HostId, double> last_forwarded_load_;
-  /// Hosts that replied to the current echo round.
-  std::unordered_set<common::HostId> echo_replied_;
-  /// Hosts already reported down (avoid repeat notifications).
-  std::unordered_set<common::HostId> reported_down_;
+  std::vector<Member> members_;
   std::uint64_t echo_seq_ = 0;
   bool echo_outstanding_ = false;
 

@@ -1,17 +1,16 @@
 #include "runtime/host_agent.hpp"
 
-#include <string_view>
-
 #include "runtime/protocol.hpp"
 
 namespace vdce::runtime {
 
-HostAgent::HostAgent(RuntimeCore& core, common::HostId host)
+HostAgent::HostAgent(RuntimeCore& core, common::HostId host,
+                     LoadCheckSweep& load_checks)
     : core_(core),
       host_(host),
       monitor_(core, host, core.topology().group(core.topology().host(host).group).leader),
       data_manager_(core, host),
-      app_controller_(core, host, data_manager_) {
+      app_controller_(core, host, data_manager_, load_checks) {
   const net::Host& h = core.topology().host(host);
   const net::Group& group = core.topology().group(h.group);
   const net::Site& site = core.topology().site(h.site);
@@ -48,26 +47,26 @@ void HostAgent::dispatch(const net::Message& message) {
   for (const Extension& extension : extensions_) {
     if (extension(message)) return;
   }
-  const std::string_view type = message.type;
+  const net::MsgKind kind = message.kind;
 
-  if (type == msg::kGmEcho || type == msg::kSmEcho) {
+  if (kind == msg::kGmEcho || kind == msg::kSmEcho) {
     monitor_.handle(message);
     return;
   }
-  if (type == msg::kDmSetup || type == msg::kDmSetupAck ||
-      type == msg::kDmData || type == msg::kDmInput ||
-      type == msg::kDmResend) {
+  if (kind == msg::kDmSetup || kind == msg::kDmSetupAck ||
+      kind == msg::kDmData || kind == msg::kDmInput ||
+      kind == msg::kDmResend) {
     data_manager_.handle(message);
     return;
   }
-  if (type == msg::kGmExec || type == msg::kSmStart ||
-      type == msg::kSmSuspend || type == msg::kSmResume) {
+  if (kind == msg::kGmExec || kind == msg::kSmStart ||
+      kind == msg::kSmSuspend || kind == msg::kSmResume) {
     app_controller_.handle(message);
     return;
   }
   if (group_manager_ &&
-      (type == msg::kMonReport || type == msg::kGmEchoReply ||
-       type == msg::kSmRatGm)) {
+      (kind == msg::kMonReport || kind == msg::kGmEchoReply ||
+       kind == msg::kSmRatGm)) {
     group_manager_->handle(message);
     return;
   }

@@ -23,8 +23,11 @@ namespace vdce::runtime {
 class HostAgent {
  public:
   /// Build the agent for `host`.  Roles are derived from the topology: the
-  /// group leader gets a GroupManager, the site server a SiteManager.
-  HostAgent(RuntimeCore& core, common::HostId host);
+  /// group leader gets a GroupManager, the site server a SiteManager.  The
+  /// Application Controller joins `load_checks` (one per environment) when
+  /// the agent starts.
+  HostAgent(RuntimeCore& core, common::HostId host,
+            LoadCheckSweep& load_checks);
 
   HostAgent(const HostAgent&) = delete;
   HostAgent& operator=(const HostAgent&) = delete;
@@ -33,7 +36,7 @@ class HostAgent {
   void start();
   void stop();
 
-  /// Extension services (e.g. the DSM runtime) can claim message types the
+  /// Extension services (e.g. the DSM runtime) can claim message kinds the
   /// core daemons do not know.  Extensions are consulted first; returning
   /// true consumes the message.
   using Extension = std::function<bool(const net::Message&)>;

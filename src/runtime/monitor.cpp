@@ -1,7 +1,5 @@
 #include "runtime/monitor.hpp"
 
-#include <any>
-
 #include "common/logging.hpp"
 
 namespace vdce::runtime {
@@ -61,23 +59,22 @@ void MonitorDaemon::sample_and_report() {
     health.observe(mem_series_, core_.now(), report.sample.available_mb);
   }
 
-  (void)core_.fabric().send(net::Message{
-      host_, group_leader_, msg::kMonReport, wire::mon_report(),
-      std::any(report)});
+  (void)core_.fabric().send(net::Message{host_, group_leader_, msg::kMonReport,
+                                         wire::mon_report(), report});
 }
 
 void MonitorDaemon::handle(const net::Message& message) {
-  if (message.type == msg::kGmEcho) {
-    const auto& echo = std::any_cast<const EchoPacket&>(message.payload);
-    (void)core_.fabric().send(net::Message{host_, echo.leader,
-                                           msg::kGmEchoReply, wire::kEcho,
-                                           std::any(EchoPacket{host_, echo.seq})});
-  } else if (message.type == msg::kSmEcho) {
-    const auto& echo = std::any_cast<const EchoPacket&>(message.payload);
-    (void)core_.fabric().send(net::Message{host_, echo.leader,
-                                           msg::kSmEchoReply, wire::kEcho,
-                                           std::any(EchoPacket{host_, echo.seq})});
+  net::MsgKind reply;
+  if (message.kind == msg::kGmEcho) {
+    reply = msg::kGmEchoReply;
+  } else if (message.kind == msg::kSmEcho) {
+    reply = msg::kSmEchoReply;
+  } else {
+    return;
   }
+  const auto& echo = message.payload.as<EchoPacket>();
+  (void)core_.fabric().send(net::Message{host_, echo.leader, reply, wire::kEcho,
+                                         EchoPacket{host_, echo.seq}});
 }
 
 }  // namespace vdce::runtime

@@ -23,8 +23,11 @@
 //   App Controller --ac.overload-->  origin Site Manager  (reschedule request)
 //   Site Manager   --sm.host_down->  all Site Managers    (inter-site coord.)
 //
-// Payload structs are shared immutably (shared_ptr<const T>) where they are
-// multicast, so a 400-task plan is not copied per destination.
+// Each tag is a net::MsgKind and each payload a small struct carried inline
+// in the message (net/message.hpp).  Plans travel as shared_ptr<const T>, so
+// a 400-task plan is not copied per destination; the two payloads larger
+// than net::Payload's inline budget (BidsReply, TaskDone) travel the same
+// way (docs/PROTOCOL.md).
 #pragma once
 
 #include <memory>
@@ -37,6 +40,7 @@
 #include "common/time.hpp"
 #include "db/resource_perf.hpp"
 #include "db/task_perf.hpp"
+#include "net/message.hpp"
 #include "sched/host_selection.hpp"
 #include "sched/types.hpp"
 #include "tasklib/registry.hpp"
@@ -45,34 +49,34 @@ namespace vdce::runtime {
 
 // ---- message type tags ----------------------------------------------------
 namespace msg {
-inline constexpr const char* kMonReport = "mon.report";
-inline constexpr const char* kGmReport = "gm.report";
-inline constexpr const char* kGmEcho = "gm.echo";
-inline constexpr const char* kGmEchoReply = "gm.echo_reply";
-inline constexpr const char* kGmHostDown = "gm.host_down";
+inline const net::MsgKind kMonReport{"mon.report"};
+inline const net::MsgKind kGmReport{"gm.report"};
+inline const net::MsgKind kGmEcho{"gm.echo"};
+inline const net::MsgKind kGmEchoReply{"gm.echo_reply"};
+inline const net::MsgKind kGmHostDown{"gm.host_down"};
 // The Site Manager echo-checks its group-leader machines the same way the
 // Group Managers check their members — otherwise a dead leader would go
 // undetected (leaders vouch for their members, nobody vouched for them).
-inline constexpr const char* kSmEcho = "sm.echo";
-inline constexpr const char* kSmEchoReply = "sm.echo_reply";
-inline constexpr const char* kSmAfg = "sm.afg";
-inline constexpr const char* kSmBids = "sm.bids";
-inline constexpr const char* kSmRat = "sm.rat";
-inline constexpr const char* kSmRatGm = "sm.rat_gm";
-inline constexpr const char* kGmExec = "gm.exec";
-inline constexpr const char* kDmSetup = "dm.setup";
-inline constexpr const char* kDmSetupAck = "dm.setup_ack";
-inline constexpr const char* kAcReady = "ac.ready";
-inline constexpr const char* kSmStart = "sm.start";
-inline constexpr const char* kDmInput = "dm.input";
-inline constexpr const char* kDmData = "dm.data";
-inline constexpr const char* kDmResend = "dm.resend";
-inline constexpr const char* kAcTaskDone = "ac.task_done";
-inline constexpr const char* kDmOutput = "dm.output";
-inline constexpr const char* kAcOverload = "ac.overload";
-inline constexpr const char* kSmHostDown = "sm.host_down";
-inline constexpr const char* kSmSuspend = "sm.suspend";
-inline constexpr const char* kSmResume = "sm.resume";
+inline const net::MsgKind kSmEcho{"sm.echo"};
+inline const net::MsgKind kSmEchoReply{"sm.echo_reply"};
+inline const net::MsgKind kSmAfg{"sm.afg"};
+inline const net::MsgKind kSmBids{"sm.bids"};
+inline const net::MsgKind kSmRat{"sm.rat"};
+inline const net::MsgKind kSmRatGm{"sm.rat_gm"};
+inline const net::MsgKind kGmExec{"gm.exec"};
+inline const net::MsgKind kDmSetup{"dm.setup"};
+inline const net::MsgKind kDmSetupAck{"dm.setup_ack"};
+inline const net::MsgKind kAcReady{"ac.ready"};
+inline const net::MsgKind kSmStart{"sm.start"};
+inline const net::MsgKind kDmInput{"dm.input"};
+inline const net::MsgKind kDmData{"dm.data"};
+inline const net::MsgKind kDmResend{"dm.resend"};
+inline const net::MsgKind kAcTaskDone{"ac.task_done"};
+inline const net::MsgKind kDmOutput{"dm.output"};
+inline const net::MsgKind kAcOverload{"ac.overload"};
+inline const net::MsgKind kSmHostDown{"sm.host_down"};
+inline const net::MsgKind kSmSuspend{"sm.suspend"};
+inline const net::MsgKind kSmResume{"sm.resume"};
 }  // namespace msg
 
 // ---- monitoring payloads ---------------------------------------------------
@@ -80,10 +84,6 @@ inline constexpr const char* kSmResume = "sm.resume";
 struct MonReport {
   common::HostId host;
   db::WorkloadSample sample;
-};
-
-struct GmReport {
-  std::vector<MonReport> changed;
 };
 
 struct HostDownNotice {
@@ -104,11 +104,13 @@ struct AfgMulticast {
   std::shared_ptr<const afg::Afg> graph;
 };
 
-/// A remote site's host-selection answer (Fig. 2 step 5).
+/// A remote site's host-selection answer (Fig. 2 step 5).  Sent as a
+/// BidsReplyPtr: it does not fit net::Payload inline.
 struct BidsReply {
   common::AppId app;
   sched::HostSelectionOutput output;
 };
+using BidsReplyPtr = std::shared_ptr<const BidsReply>;
 
 // ---- execution payloads ------------------------------------------------------
 
@@ -211,6 +213,8 @@ struct OutputFile {
   tasklib::Value value;
 };
 
+/// Sent as a TaskDonePtr: it does not fit net::Payload inline.  The Data
+/// Manager keeps the same pointers for at-least-once re-delivery.
 struct TaskDone {
   common::AppId app;
   afg::TaskId task;
@@ -226,6 +230,7 @@ struct TaskDone {
   /// (lets the coordinator assemble application results).
   tasklib::Value exit_output;
 };
+using TaskDonePtr = std::shared_ptr<const TaskDone>;
 
 struct OverloadNotice {
   common::AppId app;
@@ -246,9 +251,8 @@ namespace wire {
 inline constexpr double kEcho = 64;
 inline constexpr double kSmall = 128;
 inline double mon_report() { return 160; }
-inline double gm_report(std::size_t changed) {
-  return 96 + 64 * static_cast<double>(changed);
-}
+/// A Group Manager report forwards one significantly changed sample.
+inline double gm_report() { return 96 + 64; }
 inline double afg(const afg::Afg& graph) {
   return 256 + 192 * static_cast<double>(graph.task_count()) +
          48 * static_cast<double>(graph.edges().size());

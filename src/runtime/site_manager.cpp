@@ -1,7 +1,6 @@
 #include "runtime/site_manager.hpp"
 
 #include <algorithm>
-#include <any>
 #include <cassert>
 
 #include "common/logging.hpp"
@@ -19,6 +18,15 @@ namespace {
 constexpr int kMaxQuietStalls = 5;
 
 }  // namespace
+
+SiteManager::SiteManager(RuntimeCore& core, common::SiteId site,
+                         common::HostId server)
+    : core_(core), site_(site), server_(server) {
+  for (common::GroupId g : core_.topology().site(site_).groups) {
+    const common::HostId leader = core_.topology().group(g).leader;
+    if (leader != server_) leaders_.push_back(Leader{leader});
+  }
+}
 
 void SiteManager::start() {
   if (started_) return;
@@ -38,41 +46,37 @@ void SiteManager::stop() {
 void SiteManager::leader_echo_tick() {
   // Close the previous round: a leader that stayed silent is down, and with
   // it the monitoring of its whole group — mark it and recover.
-  std::vector<common::HostId> leaders;
-  for (const net::Group& g : core_.topology().groups_in_site(site_)) {
-    if (g.leader != server_) leaders.push_back(g.leader);
-  }
   if (leader_echo_outstanding_) {
-    for (common::HostId leader : leaders) {
-      if (leader_echo_replied_.contains(leader) ||
-          leaders_reported_down_.contains(leader)) {
-        continue;
-      }
-      leaders_reported_down_.insert(leader);
+    for (Leader& l : leaders_) {
+      if (l.echo_replied || l.reported_down) continue;
+      l.reported_down = true;
       VDCE_LOG(kInfo, "site-mgr", core_.now())
-          << "group leader " << core_.topology().host(leader).spec.name
+          << "group leader " << core_.topology().host(l.host).spec.name
           << " failed echo round " << leader_echo_seq_;
       // Reuse the gm.host_down path: mark down, broadcast, recover apps.
       net::Message synthetic{server_, server_, msg::kGmHostDown, 0,
-                             std::any(HostDownNotice{leader})};
+                             HostDownNotice{l.host}};
       on_gm_host_down(synthetic);
     }
   }
   ++leader_echo_seq_;
-  leader_echo_replied_.clear();
+  for (Leader& l : leaders_) l.echo_replied = false;
   leader_echo_outstanding_ = true;
-  for (common::HostId leader : leaders) {
-    (void)core_.fabric().send(net::Message{
-        server_, leader, msg::kSmEcho, wire::kEcho,
-        std::any(EchoPacket{server_, leader_echo_seq_})});
+  for (const Leader& l : leaders_) {
+    (void)core_.fabric().send(net::Message{server_, l.host, msg::kSmEcho,
+                                           wire::kEcho,
+                                           EchoPacket{server_, leader_echo_seq_}});
   }
 }
 
 void SiteManager::on_sm_echo_reply(const net::Message& message) {
-  const auto& echo = std::any_cast<const EchoPacket&>(message.payload);
+  const auto& echo = message.payload.as<EchoPacket>();
   if (echo.seq != leader_echo_seq_) return;
-  leader_echo_replied_.insert(message.src);
-  leaders_reported_down_.erase(message.src);
+  for (Leader& l : leaders_) {
+    if (l.host != message.src) continue;
+    l.echo_replied = true;
+    l.reported_down = false;
+  }
 }
 
 sched::SchedulerContext SiteManager::make_context(
@@ -98,28 +102,28 @@ sched::SchedulerContext SiteManager::make_context(
 }
 
 void SiteManager::handle(const net::Message& message) {
-  if (message.type == msg::kGmReport) {
+  if (message.kind == msg::kGmReport) {
     on_gm_report(message);
-  } else if (message.type == msg::kGmHostDown) {
+  } else if (message.kind == msg::kGmHostDown) {
     on_gm_host_down(message);
-  } else if (message.type == msg::kSmHostDown) {
+  } else if (message.kind == msg::kSmHostDown) {
     on_sm_host_down(message);
-  } else if (message.type == msg::kSmAfg) {
+  } else if (message.kind == msg::kSmAfg) {
     on_sm_afg(message);
-  } else if (message.type == msg::kSmBids) {
+  } else if (message.kind == msg::kSmBids) {
     on_sm_bids(message);
-  } else if (message.type == msg::kSmRat) {
+  } else if (message.kind == msg::kSmRat) {
     on_sm_rat(message);
-  } else if (message.type == msg::kAcReady) {
+  } else if (message.kind == msg::kAcReady) {
     on_ac_ready(message);
-  } else if (message.type == msg::kAcTaskDone) {
+  } else if (message.kind == msg::kAcTaskDone) {
     on_ac_task_done(message);
-  } else if (message.type == msg::kAcOverload) {
+  } else if (message.kind == msg::kAcOverload) {
     on_ac_overload(message);
-  } else if (message.type == msg::kSmEchoReply) {
+  } else if (message.kind == msg::kSmEchoReply) {
     on_sm_echo_reply(message);
-  } else if (message.type == msg::kDmOutput) {
-    const auto& output = std::any_cast<const OutputFile&>(message.payload);
+  } else if (message.kind == msg::kDmOutput) {
+    const auto& output = message.payload.as<OutputFile>();
     if (output_sink_) {
       output_sink_(output.path, output.value, output.size_bytes);
     }
@@ -129,19 +133,15 @@ void SiteManager::handle(const net::Message& message) {
 // ---- repository maintenance -------------------------------------------------
 
 void SiteManager::on_gm_report(const net::Message& message) {
-  const auto& report = std::any_cast<const GmReport&>(message.payload);
-  for (const MonReport& r : report.changed) {
-    (void)core_.repo(site_).resources().record_workload(r.host, r.sample);
-    // A report from a host previously marked down means it recovered.
-    auto rec = core_.repo(site_).resources().find(r.host);
-    if (rec && !rec->up) {
-      (void)core_.repo(site_).resources().set_host_up(r.host, true);
-    }
-  }
+  const auto& r = message.payload.as<MonReport>();
+  db::ResourcePerformanceDb& resources = core_.repo(site_).resources();
+  (void)resources.record_workload(r.host, r.sample);
+  // A report from a host previously marked down means it recovered.
+  (void)resources.set_host_up(r.host, true);
 }
 
 void SiteManager::on_gm_host_down(const net::Message& message) {
-  const auto& notice = std::any_cast<const HostDownNotice&>(message.payload);
+  const auto& notice = message.payload.as<HostDownNotice>();
   VDCE_LOG(kInfo, "site-mgr", core_.now())
       << "site " << site_.value() << " marks host " << notice.host.value()
       << " down";
@@ -193,15 +193,14 @@ void SiteManager::on_gm_host_down(const net::Message& message) {
     if (s.id == site_) continue;
     (void)core_.fabric().send(net::Message{server_, s.server, msg::kSmHostDown,
                                            wire::kSmall,
-                                           std::any(HostDownNotice{notice.host})});
+                                           HostDownNotice{notice.host}});
   }
   // Recover any of our own coordinated applications immediately.
-  net::Message forwarded = message;
-  on_sm_host_down(forwarded);
+  on_sm_host_down(message);
 }
 
 void SiteManager::on_sm_host_down(const net::Message& message) {
-  const auto& notice = std::any_cast<const HostDownNotice&>(message.payload);
+  const auto& notice = message.payload.as<HostDownNotice>();
   for (auto& [app_value, app] : apps_) {
     if (app.finished) continue;
     // Re-place every unfinished task that touches the failed host; cascade
@@ -268,7 +267,7 @@ void SiteManager::schedule_application(common::AppId app,
     any_remote = true;
     (void)core_.fabric().send(net::Message{
         server_, core_.topology().site(s).server, msg::kSmAfg,
-        wire::afg(*graph), std::any(AfgMulticast{app, server_, graph})});
+        wire::afg(*graph), AfgMulticast{app, server_, graph}});
   }
   if (!any_remote) {
     finish_schedule(app.value());
@@ -289,7 +288,7 @@ void SiteManager::schedule_application(common::AppId app,
 }
 
 void SiteManager::on_sm_afg(const net::Message& message) {
-  const auto& request = std::any_cast<const AfgMulticast&>(message.payload);
+  const auto& request = message.payload.as<AfgMulticast>();
   auto output = sched::HostSelectionAlgorithm::run(
       *request.graph, site_, core_.repo(site_), core_.predictor());
   if (!output) return;  // cannot bid; origin proceeds without this site
@@ -303,11 +302,12 @@ void SiteManager::on_sm_afg(const net::Message& message) {
   double size = wire::bids(*output);
   (void)core_.fabric().send(net::Message{
       server_, request.reply_to, msg::kSmBids, size,
-      std::any(BidsReply{request.app, std::move(*output)})});
+      BidsReplyPtr(std::make_shared<const BidsReply>(
+          BidsReply{request.app, std::move(*output)}))});
 }
 
 void SiteManager::on_sm_bids(const net::Message& message) {
-  const auto& reply = std::any_cast<const BidsReply&>(message.payload);
+  const BidsReply& reply = *message.payload.as<BidsReplyPtr>();
   auto it = pending_.find(reply.app.value());
   if (it == pending_.end()) return;
   it->second.outputs.emplace(reply.output.site, reply.output);
@@ -411,14 +411,15 @@ void SiteManager::execute_application(
     (void)core_.fabric().send(net::Message{server_,
                                            core_.topology().site(s).server,
                                            msg::kSmRat, wire::rat(plan->rat),
-                                           std::any(rat_msg)});
+                                           rat_msg});
   }
 }
 
 void SiteManager::on_sm_rat(const net::Message& message) {
-  const auto& rat = std::any_cast<const RatMulticast&>(message.payload);
+  const auto& rat = message.payload.as<RatMulticast>();
   // Forward to each of our group leaders whose group has an involved member.
-  for (const net::Group& group : core_.topology().groups_in_site(site_)) {
+  for (common::GroupId g : core_.topology().site(site_).groups) {
+    const net::Group& group = core_.topology().group(g);
     bool involved = false;
     for (const sched::Assignment& a : rat.plan->rat.assignments) {
       for (common::HostId h : a.hosts) {
@@ -433,13 +434,12 @@ void SiteManager::on_sm_rat(const net::Message& message) {
     if (!involved) continue;
     (void)core_.fabric().send(net::Message{server_, group.leader,
                                            msg::kSmRatGm,
-                                           wire::rat(rat.plan->rat),
-                                           std::any(rat)});
+                                           wire::rat(rat.plan->rat), rat});
   }
 }
 
 void SiteManager::on_ac_ready(const net::Message& message) {
-  const auto& notice = std::any_cast<const ReadyNotice&>(message.payload);
+  const auto& notice = message.payload.as<ReadyNotice>();
   auto it = apps_.find(notice.app.value());
   if (it == apps_.end()) return;
   it->second.ready.insert(notice.host);
@@ -466,7 +466,7 @@ void SiteManager::maybe_launch(ActiveApp& app) {
   for (common::HostId h : app.involved) {
     (void)core_.fabric().send(net::Message{server_, h, msg::kSmStart,
                                            wire::kSmall,
-                                           std::any(StartSignal{app.plan->app})});
+                                           StartSignal{app.plan->app}});
   }
 }
 
@@ -485,14 +485,14 @@ void SiteManager::stage_file_inputs(ActiveApp& app, afg::TaskId task) {
     (void)core_.fabric().send(net::Message{
         server_, assignment.primary_host(), msg::kDmInput,
         std::max(f.size_bytes, 64.0),
-        std::any(DataDelivery{app.plan->app, task, port, std::move(value)}),
+        DataDelivery{app.plan->app, task, port, std::move(value)},
         // Staging transfer: feeds `task`, no producer task (src_task unset).
         net::MessageCause{app.plan->app.value(), task.value()}});
   }
 }
 
 void SiteManager::on_ac_task_done(const net::Message& message) {
-  const auto& done = std::any_cast<const TaskDone&>(message.payload);
+  const TaskDone& done = *message.payload.as<TaskDonePtr>();
   auto it = apps_.find(done.app.value());
   if (it == apps_.end()) return;
   ActiveApp& app = it->second;
@@ -548,7 +548,7 @@ void SiteManager::on_ac_task_done(const net::Message& message) {
 }
 
 void SiteManager::on_ac_overload(const net::Message& message) {
-  const auto& notice = std::any_cast<const OverloadNotice&>(message.payload);
+  const auto& notice = message.payload.as<OverloadNotice>();
   auto it = apps_.find(notice.app.value());
   if (it == apps_.end()) return;
   ActiveApp& app = it->second;
@@ -819,12 +819,12 @@ void SiteManager::dispatch_updated_plan(ActiveApp& app, afg::TaskId task,
   // so the Group Manager fan-out is skipped for this one request.
   (void)core_.fabric().send(net::Message{
       server_, assignment.primary_host(), msg::kGmExec, wire::kSmall,
-      std::any(ExecRequest{plan, assignment.primary_host(),
-                           pin ? task : afg::TaskId{}})});
+      ExecRequest{plan, assignment.primary_host(),
+                  pin ? task : afg::TaskId{}}});
   if (app.started) {
     (void)core_.fabric().send(net::Message{server_, assignment.primary_host(),
                                            msg::kSmStart, wire::kSmall,
-                                           std::any(StartSignal{plan->app})});
+                                           StartSignal{plan->app}});
     stage_file_inputs(app, task);
     // Pull dataflow inputs from each parent's current host.
     for (const afg::Edge& e : app.plan->graph.in_edges(task)) {
@@ -832,8 +832,8 @@ void SiteManager::dispatch_updated_plan(ActiveApp& app, afg::TaskId task,
       if (!core_.topology().host_up(parent.primary_host())) continue;
       (void)core_.fabric().send(net::Message{
           server_, parent.primary_host(), msg::kDmResend, wire::kSmall,
-          std::any(ResendRequest{plan->app, e.from, e.from_port, task,
-                                 e.to_port, assignment.primary_host()})});
+          ResendRequest{plan->app, e.from, e.from_port, task, e.to_port,
+                        assignment.primary_host()}});
     }
   }
 }
@@ -889,7 +889,7 @@ void SiteManager::progress_sweep() {
       for (common::SiteId s : plan->rat.sites_used()) {
         (void)core_.fabric().send(net::Message{
             server_, core_.topology().site(s).server, msg::kSmRat,
-            wire::rat(plan->rat), std::any(RatMulticast{plan})});
+            wire::rat(plan->rat), RatMulticast{plan}});
       }
       continue;
     }
@@ -1019,7 +1019,7 @@ void SiteManager::suspend_application(common::AppId app_id) {
   for (common::HostId h : it->second.involved) {
     (void)core_.fabric().send(net::Message{server_, h, msg::kSmSuspend,
                                            wire::kSmall,
-                                           std::any(SuspendSignal{app_id})});
+                                           SuspendSignal{app_id}});
   }
 }
 
@@ -1029,7 +1029,7 @@ void SiteManager::resume_application(common::AppId app_id) {
   for (common::HostId h : it->second.involved) {
     (void)core_.fabric().send(net::Message{server_, h, msg::kSmResume,
                                            wire::kSmall,
-                                           std::any(SuspendSignal{app_id})});
+                                           SuspendSignal{app_id}});
   }
 }
 

@@ -47,8 +47,7 @@ namespace vdce::runtime {
 
 class SiteManager {
  public:
-  SiteManager(RuntimeCore& core, common::SiteId site, common::HostId server)
-      : core_(core), site_(site), server_(server) {}
+  SiteManager(RuntimeCore& core, common::SiteId site, common::HostId server);
 
   void start();
   void stop();
@@ -202,9 +201,16 @@ class SiteManager {
   sim::TimerHandle leader_echo_timer_;
   bool started_ = false;
 
-  /// Leader failure detection (mirrors the Group Manager's member echo).
-  std::set<common::HostId> leader_echo_replied_;
-  std::set<common::HostId> leaders_reported_down_;
+  /// Leader failure detection (mirrors the Group Manager's member echo):
+  /// the site's group leaders other than this server, in group order.
+  /// Groups and leaders never change, so the list is built once and each
+  /// round only resets flags.
+  struct Leader {
+    common::HostId host;
+    bool echo_replied = false;   ///< replied to the current echo round
+    bool reported_down = false;  ///< already reported (no repeat notices)
+  };
+  std::vector<Leader> leaders_;
   std::uint64_t leader_echo_seq_ = 0;
   bool leader_echo_outstanding_ = false;
 

@@ -25,9 +25,10 @@ namespace vdce::sim {
 class Task {
  public:
   /// Inline capture budget, in bytes.  Chosen to fit the largest in-tree
-  /// closure with headroom (net::Fabric's `[this, m = std::move(msg)]` is
-  /// ~96 bytes); revisit only with a size audit — every event slot in the
-  /// engine arena embeds one Task.
+  /// closure with headroom (net::Fabric's `[this, m = std::move(msg)]`,
+  /// whose message carries its payload inline, is 112 bytes; fabric.hpp
+  /// asserts the fit); revisit only with a size audit — every event slot
+  /// in the engine arena embeds one Task.
   static constexpr std::size_t kInlineBytes = 128;
 
   Task() noexcept = default;

@@ -11,6 +11,15 @@
 
 namespace vdce {
 
+namespace {
+
+// Inter-site health probes (docs/OBSERVABILITY.md): a probe bounces off the
+// far Site Manager's host and its reply carries the round trip.
+const net::MsgKind kHealthProbe{"health.probe"};
+const net::MsgKind kHealthProbeReply{"health.probe_reply"};
+
+}  // namespace
+
 VdceEnvironment::VdceEnvironment(net::Topology topology,
                                  EnvironmentOptions options)
     : topology_(std::move(topology)),
@@ -73,8 +82,10 @@ common::Status VdceEnvironment::try_bring_up() {
   // (and the trace's series indices) never depend on agent start order.
   setup_health_plane();
 
+  load_checks_ = std::make_unique<runtime::LoadCheckSweep>(*core_);
   for (const net::Host& host : topology_.hosts()) {
-    agents_.push_back(std::make_unique<runtime::HostAgent>(*core_, host.id));
+    agents_.push_back(
+        std::make_unique<runtime::HostAgent>(*core_, host.id, *load_checks_));
   }
   for (auto& agent : agents_) agent->start();
 
@@ -212,7 +223,7 @@ void VdceEnvironment::health_tick() {
       (void)fabric_.send(net::Message{
           topology_.site(common::SiteId(static_cast<std::uint32_t>(a))).server,
           topology_.site(common::SiteId(static_cast<std::uint32_t>(b))).server,
-          "health.probe", 64.0, std::any(probe)});
+          kHealthProbe, 64.0, probe});
     }
   }
   hp.observe(queue_series_, now,
@@ -222,16 +233,13 @@ void VdceEnvironment::health_tick() {
 }
 
 bool VdceEnvironment::handle_health_message(const net::Message& message) {
-  if (!common::starts_with(message.type, "health.")) return false;
-  if (message.type == "health.probe") {
+  if (message.kind == kHealthProbe) {
     // Bounce the payload back unchanged; the reply's arrival time measures
     // the round trip.
     (void)fabric_.send(net::Message{message.dst, message.src,
-                                    "health.probe_reply", 64.0,
-                                    message.payload});
-  } else if (message.type == "health.probe_reply") {
-    const auto& probe =
-        std::any_cast<const obs::health::HealthProbe&>(message.payload);
+                                    kHealthProbeReply, 64.0, message.payload});
+  } else if (message.kind == kHealthProbeReply) {
+    const auto& probe = message.payload.as<obs::health::HealthProbe>();
     obs::health::SeriesKey key;
     key.metric = obs::health::kLinkRtt;
     key.link_a = probe.site_a;
@@ -239,6 +247,8 @@ bool VdceEnvironment::handle_health_message(const net::Message& message) {
     obs::health::HealthPlane& hp = obs_.health();
     hp.observe(hp.find_series(key), engine_.now(),
                engine_.now() - probe.sent);
+  } else {
+    return false;
   }
   return true;
 }
@@ -350,9 +360,7 @@ dsm::DsmRuntime& VdceEnvironment::enable_dsm() {
     dsm_ = std::make_unique<dsm::DsmRuntime>(fabric_, std::move(hosts));
     for (auto& agent : agents_) {
       agent->add_extension([this](const net::Message& message) {
-        if (!common::starts_with(message.type, "dsm.")) return false;
-        dsm_->handle(message);
-        return true;
+        return dsm_->handle(message);
       });
     }
   }

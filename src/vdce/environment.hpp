@@ -544,6 +544,9 @@ class VdceEnvironment {
   runtime::ObjectStore store_;
   std::vector<std::unique_ptr<db::SiteRepository>> repos_;
   std::unique_ptr<runtime::RuntimeCore> core_;
+  /// The Application Controllers' shared load-check timer; declared before
+  /// agents_ so it outlives them.
+  std::unique_ptr<runtime::LoadCheckSweep> load_checks_;
   std::vector<std::unique_ptr<runtime::HostAgent>> agents_;
   std::unique_ptr<runtime::BackgroundLoadGenerator> load_generator_;
   std::unique_ptr<dsm::DsmRuntime> dsm_;

@@ -149,7 +149,7 @@ TEST_F(DaemonFixture, TasksRunSequentiallyPerHost) {
   DataManager dm(*core, a);
   int done = 0;
   fabric.bind(host(0, 0), [&](const net::Message& m) {
-    if (m.type == msg::kAcTaskDone) ++done;
+    if (m.kind == msg::kAcTaskDone) ++done;
   });
   fabric.bind(a, [&](const net::Message& m) { dm.handle(m); });
   dm.activate(plan, [] {});
@@ -190,7 +190,7 @@ TEST_F(DaemonFixture, DuplicateDeliveryIsIgnored) {
   DataManager dm(*core, a);
   int done = 0;
   fabric.bind(host(0, 0), [&](const net::Message& m) {
-    if (m.type == msg::kAcTaskDone) ++done;
+    if (m.kind == msg::kAcTaskDone) ++done;
   });
   dm.activate(plan, [] {});
   dm.start_app(plan->app);
@@ -199,7 +199,7 @@ TEST_F(DaemonFixture, DuplicateDeliveryIsIgnored) {
 
   // Two identical deliveries: the second must not double-start anything.
   net::Message delivery{host(1, 1), a, msg::kDmData, 100,
-                        std::any(DataDelivery{plan->app, *t, 0, {}})};
+                        DataDelivery{plan->app, *t, 0, {}}};
   dm.handle(delivery);
   dm.handle(delivery);
   engine.run();
@@ -213,7 +213,7 @@ TEST_F(DaemonFixture, SuspendHoldsQueueUntilResume) {
   DataManager dm(*core, a);
   int done = 0;
   fabric.bind(host(0, 0), [&](const net::Message& m) {
-    if (m.type == msg::kAcTaskDone) ++done;
+    if (m.kind == msg::kAcTaskDone) ++done;
   });
   dm.activate(plan, [] {});
   dm.suspend(plan->app);
@@ -264,7 +264,7 @@ TEST_F(DaemonFixture, FilterForwardsOnlySignificantChanges) {
     MonReport r;
     r.host = h;
     r.sample = db::WorkloadSample{engine.now(), load, 100.0};
-    gm.handle(net::Message{h, leader, msg::kMonReport, 160, std::any(r)});
+    gm.handle(net::Message{h, leader, msg::kMonReport, 160, r});
   };
   // Default threshold is 0.15.
   report(host(0, 1), 0.50);  // first: forwarded
@@ -284,8 +284,8 @@ TEST_F(DaemonFixture, EchoRoundDetectsSilentMember) {
   int down_notices = 0;
   // The site server == leader here; capture gm.host_down at the leader.
   fabric.bind(leader, [&](const net::Message& m) {
-    if (m.type == msg::kGmHostDown) ++down_notices;
-    if (m.type == msg::kGmEchoReply || m.type == msg::kMonReport) {
+    if (m.kind == msg::kGmHostDown) ++down_notices;
+    if (m.kind == msg::kGmEchoReply || m.kind == msg::kMonReport) {
       gm.handle(m);
     }
   });
@@ -299,11 +299,10 @@ TEST_F(DaemonFixture, EchoRoundDetectsSilentMember) {
       continue;
     }
     fabric.bind(member, [&, member](const net::Message& m) {
-      if (m.type == msg::kGmEcho) {
-        const auto& echo = std::any_cast<const EchoPacket&>(m.payload);
+      if (m.kind == msg::kGmEcho) {
+        const auto& echo = m.payload.as<EchoPacket>();
         (void)fabric.send(net::Message{member, echo.leader, msg::kGmEchoReply,
-                                       64,
-                                       std::any(EchoPacket{member, echo.seq})});
+                                       64, EchoPacket{member, echo.seq}});
       }
     });
   }

@@ -2,7 +2,7 @@
 // failure semantics.
 #include <gtest/gtest.h>
 
-#include <any>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,6 +12,9 @@
 
 namespace vdce::net {
 namespace {
+
+const MsgKind kTest("test");
+const MsgKind kT("t");
 
 Topology two_sites() {
   Topology t;
@@ -47,7 +50,7 @@ TEST(Topology, GroupLeadership) {
   EXPECT_NE(a0.group, a2.group);  // different group indices
   EXPECT_EQ(t.group(a0.group).leader, common::HostId(0));
   EXPECT_EQ(t.group(a2.group).leader, common::HostId(2));
-  EXPECT_EQ(t.groups_in_site(common::SiteId(0)).size(), 2u);
+  EXPECT_EQ(t.site(common::SiteId(0)).groups.size(), 2u);
 }
 
 TEST(Topology, FindByName) {
@@ -131,7 +134,7 @@ TEST_F(FabricFixture, DeliversAfterTransferTime) {
     arrival.push_back(engine.now());
   });
   auto when = fabric.send(Message{common::HostId(0), common::HostId(3),
-                                  "test", 1e5, {}});
+                                  kTest, 1e5});
   ASSERT_TRUE(when.has_value());
   EXPECT_NEAR(*when, 1.030, 1e-9);
   engine.run();
@@ -142,10 +145,10 @@ TEST_F(FabricFixture, DeliversAfterTransferTime) {
 TEST_F(FabricFixture, PayloadRoundTrip) {
   std::string got;
   fabric.bind(common::HostId(1), [&](const Message& m) {
-    got = std::any_cast<std::string>(m.payload);
+    got = m.payload.as<std::string>();
   });
-  (void)fabric.send(Message{common::HostId(0), common::HostId(1), "t", 64,
-                            std::any(std::string("hello"))});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), kT, 64,
+                            std::string("hello")});
   engine.run();
   EXPECT_EQ(got, "hello");
 }
@@ -153,7 +156,7 @@ TEST_F(FabricFixture, PayloadRoundTrip) {
 TEST_F(FabricFixture, DropsWhenDestinationDownAtDelivery) {
   int delivered = 0;
   fabric.bind(common::HostId(3), [&](const Message&) { ++delivered; });
-  (void)fabric.send(Message{common::HostId(0), common::HostId(3), "t", 64, {}});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(3), kT, 64});
   // Kill the destination while the message is in flight.
   topology.set_host_up(common::HostId(3), false);
   engine.run();
@@ -164,13 +167,13 @@ TEST_F(FabricFixture, DropsWhenDestinationDownAtDelivery) {
 TEST_F(FabricFixture, RejectsWhenSourceDown) {
   topology.set_host_up(common::HostId(0), false);
   auto result = fabric.send(Message{common::HostId(0), common::HostId(1),
-                                    "t", 64, {}});
+                                    kT, 64});
   EXPECT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, common::ErrorCode::kHostDown);
 }
 
 TEST_F(FabricFixture, UnboundDestinationCounted) {
-  (void)fabric.send(Message{common::HostId(0), common::HostId(4), "t", 64, {}});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(4), kT, 64});
   engine.run();
   EXPECT_EQ(fabric.stats().dropped_unbound, 1u);
 }
@@ -182,7 +185,7 @@ TEST_F(FabricFixture, MulticastReachesAll) {
   }
   fabric.multicast(common::HostId(0),
                    {common::HostId(1), common::HostId(2), common::HostId(3)},
-                   "mc", 64, {});
+                   MsgKind("mc"), 64, {});
   engine.run();
   EXPECT_EQ(count, 3);
   EXPECT_EQ(fabric.stats().sent_by_type.at("mc"), 3u);
@@ -190,22 +193,25 @@ TEST_F(FabricFixture, MulticastReachesAll) {
 
 TEST_F(FabricFixture, StatsAccumulateAndReset) {
   fabric.bind(common::HostId(1), [](const Message&) {});
-  (void)fabric.send(Message{common::HostId(0), common::HostId(1), "a", 100, {}});
-  (void)fabric.send(Message{common::HostId(0), common::HostId(1), "a", 100, {}});
+  const MsgKind a("a");
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), a, 100});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), a, 100});
   engine.run();
   EXPECT_EQ(fabric.stats().sent, 2u);
   EXPECT_EQ(fabric.stats().delivered, 2u);
   EXPECT_DOUBLE_EQ(fabric.stats().bytes_sent, 200.0);
+  EXPECT_EQ(fabric.stats().sent_by_type.at("a"), 2u);
   fabric.reset_stats();
   EXPECT_EQ(fabric.stats().sent, 0u);
+  EXPECT_TRUE(fabric.stats().sent_by_type.empty());
 }
 
 TEST_F(FabricFixture, IntraSiteFasterThanInterSite) {
   double lan_arrival = -1, wan_arrival = -1;
   fabric.bind(common::HostId(1), [&](const Message&) { lan_arrival = engine.now(); });
   fabric.bind(common::HostId(3), [&](const Message&) { wan_arrival = engine.now(); });
-  (void)fabric.send(Message{common::HostId(0), common::HostId(1), "t", 1e4, {}});
-  (void)fabric.send(Message{common::HostId(0), common::HostId(3), "t", 1e4, {}});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), kT, 1e4});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(3), kT, 1e4});
   engine.run();
   EXPECT_LT(lan_arrival, wan_arrival);
 }
@@ -223,8 +229,8 @@ TEST_F(FabricFixture, SharedSegmentsSerializeConcurrentTransfers) {
   });
 
   fabric.set_shared_segments(true);
-  (void)fabric.send(Message{common::HostId(0), common::HostId(1), "t", 1e6, {}});
-  (void)fabric.send(Message{common::HostId(0), common::HostId(2), "t", 1e6, {}});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), kT, 1e6});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(2), kT, 1e6});
   engine.run();
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_NEAR(arrivals[0], 1.001, 1e-6);
@@ -237,8 +243,8 @@ TEST_F(FabricFixture, SharedSegmentsIndependentAcrossSegments) {
   std::vector<double> arrivals(2, -1);
   fabric.bind(common::HostId(1), [&](const Message&) { arrivals[0] = engine.now(); });
   fabric.bind(common::HostId(3), [&](const Message&) { arrivals[1] = engine.now(); });
-  (void)fabric.send(Message{common::HostId(0), common::HostId(1), "t", 1e6, {}});
-  (void)fabric.send(Message{common::HostId(0), common::HostId(3), "t", 1e5, {}});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), kT, 1e6});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(3), kT, 1e5});
   engine.run();
   EXPECT_NEAR(arrivals[0], 1.001, 1e-6);   // LAN: 1e6/1e6 + 1ms
   EXPECT_NEAR(arrivals[1], 1.030, 1e-6);   // WAN: 1e5/1e5 + 30ms, unqueued
@@ -248,10 +254,75 @@ TEST_F(FabricFixture, SharedSegmentsLoopbackNeverContends) {
   fabric.set_shared_segments(true);
   double arrival = -1;
   fabric.bind(common::HostId(0), [&](const Message&) { arrival = engine.now(); });
-  (void)fabric.send(Message{common::HostId(1), common::HostId(2), "t", 1e7, {}});
-  (void)fabric.send(Message{common::HostId(0), common::HostId(0), "self", 64, {}});
+  (void)fabric.send(Message{common::HostId(1), common::HostId(2), kT, 1e7});
+  (void)fabric.send(
+      Message{common::HostId(0), common::HostId(0), MsgKind("self"), 64});
   engine.run();
   EXPECT_NEAR(arrival, 0.0, 1e-6);  // loopback ignores the busy LAN
+}
+
+// ---- typed messages (net/message.hpp) ----------------------------------------
+
+TEST(MsgKind, InternsNamesOnce) {
+  const MsgKind a("kind.one");
+  const MsgKind b("kind.one");
+  const MsgKind c("kind.two");
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, c);
+  EXPECT_EQ(a.name(), "kind.one");
+  EXPECT_EQ(MsgKind::from_id(c.id()), c);
+  EXPECT_EQ(MsgKind{}.name(), "");
+}
+
+/// A payload with a non-trivial copy: every copy, move and destroy of the
+/// Payload must keep the shared_ptr's use count exact.
+struct Counted {
+  std::shared_ptr<int> value;
+};
+
+TEST(Payload, CopyMoveAndDestroyBalanceASharedPtr) {
+  auto value = std::make_shared<int>(7);
+  {
+    Payload p(Counted{value});
+    EXPECT_EQ(value.use_count(), 2);
+    Payload copy(p);
+    EXPECT_EQ(value.use_count(), 3);
+    Payload moved(std::move(copy));
+    EXPECT_EQ(value.use_count(), 3);
+    Payload assigned;
+    assigned = moved;
+    EXPECT_EQ(value.use_count(), 4);
+    assigned = Payload(std::string("replaced"));
+    EXPECT_EQ(value.use_count(), 3);
+    moved = std::move(p);
+    EXPECT_EQ(value.use_count(), 2);
+    EXPECT_EQ(*moved.as<Counted>().value, 7);
+  }
+  EXPECT_EQ(value.use_count(), 1);
+}
+
+TEST_F(FabricFixture, MulticastPayloadReleasesEveryCopy) {
+  auto value = std::make_shared<int>(3);
+  int seen = 0;
+  for (auto h : {1u, 2u, 3u}) {
+    fabric.bind(common::HostId(h), [&](const Message& m) {
+      seen += *m.payload.as<Counted>().value;
+    });
+  }
+  fabric.multicast(common::HostId(0),
+                   {common::HostId(1), common::HostId(2), common::HostId(3)},
+                   kT, 64, Counted{value});
+  EXPECT_EQ(value.use_count(), 4);  // one copy per message in flight
+  engine.run();
+  EXPECT_EQ(seen, 9);
+  EXPECT_EQ(value.use_count(), 1);
+}
+
+TEST(PayloadDeathTest, WrongTypeAborts) {
+  const Payload p(std::string("text"));
+  EXPECT_DEATH((void)p.as<int>(), "net::Payload::as: payload holds");
+  const Payload empty{};
+  EXPECT_DEATH((void)empty.as<int>(), "payload holds nothing");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "afg/generate.hpp"
 #include "db/site_repository.hpp"
@@ -324,6 +325,13 @@ struct BaselineCase {
   const char* scheduler;
   const char* shape;
 };
+
+// gtest prints each parameter into the listed test names (and so into the
+// ctest names); without this it prints the two pointers' bytes, which
+// change from build to build.
+void PrintTo(const BaselineCase& c, std::ostream* os) {
+  *os << c.scheduler << '/' << c.shape;
+}
 
 class SchedulerProperty
     : public SchedFixture,
