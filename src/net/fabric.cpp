@@ -115,10 +115,12 @@ void Fabric::multicast(HostId src, const std::vector<HostId>& dsts,
 }
 
 const FabricStats& Fabric::stats() const {
-  stats_.sent_by_type.clear();
+  // Update entries in place: references and iterators into sent_by_type
+  // from an earlier stats() call stay valid until reset_stats().
   for (std::size_t id = 0; id < sent_by_kind_.size(); ++id) {
     if (sent_by_kind_[id] == 0) continue;
-    stats_.sent_by_type.emplace(MsgKind::from_id(id).name(), sent_by_kind_[id]);
+    stats_.sent_by_type[std::string(MsgKind::from_id(id).name())] =
+        sent_by_kind_[id];
   }
   return stats_;
 }

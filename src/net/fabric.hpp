@@ -39,8 +39,9 @@ static_assert(sizeof(Message) + sizeof(void*) <= sim::Task::kInlineBytes,
 /// Per-fabric traffic counters, broken down by message type — the raw data
 /// behind the monitoring-overhead experiment (E4) and Fig. 4's message-flow
 /// accounting.  The fabric counts sends per MsgKind in a flat array;
-/// `sent_by_type` is that count keyed by kind name, filled when stats() is
-/// read, and lists only kinds sent at least once.
+/// `sent_by_type` is that count keyed by kind name, updated in place when
+/// stats() is read (entries are only added, until reset_stats()), and lists
+/// only kinds sent at least once.
 struct FabricStats {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
@@ -147,7 +148,8 @@ class Fabric {
   sim::Engine& engine_;
   Topology& topology_;
   std::unordered_map<HostId, Handler> handlers_;
-  /// Counters; `sent_by_type` is rebuilt from sent_by_kind_ by stats().
+  /// Counters; `sent_by_type` is brought up to date from sent_by_kind_ by
+  /// stats().
   mutable FabricStats stats_;
   std::array<std::uint64_t, MsgKind::kMaxKinds> sent_by_kind_{};
   FaultInterceptor* fault_ = nullptr;

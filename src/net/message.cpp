@@ -1,23 +1,19 @@
 #include "net/message.hpp"
 
 #include <array>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <string>
 
 namespace vdce::net {
 
 namespace {
 
-/// Process-wide kind names.  Entries are written once, under the mutex,
-/// before their id is published through `count`; a published entry never
-/// changes, so name() reads it without locking.
+/// Process-wide kind names, id 0 being the unnamed kind "".  A fixed array,
+/// so the views name() hands out stay valid as kinds are added.
 struct KindTable {
-  std::mutex mutex;
   std::array<std::string, MsgKind::kMaxKinds> names;
-  std::atomic<std::size_t> count{1};  // id 0 is the unnamed kind ""
+  std::size_t count = 1;
 };
 
 KindTable& kinds() {
@@ -29,26 +25,23 @@ KindTable& kinds() {
 
 MsgKind::MsgKind(std::string_view name) {
   KindTable& table = kinds();
-  std::lock_guard<std::mutex> lock(table.mutex);
-  const std::size_t n = table.count.load(std::memory_order_relaxed);
-  for (std::size_t id = 0; id < n; ++id) {
+  for (std::size_t id = 0; id < table.count; ++id) {
     if (table.names[id] == name) {
       id_ = static_cast<std::uint16_t>(id);
       return;
     }
   }
-  if (n == kMaxKinds) {
+  if (table.count == kMaxKinds) {
     std::fprintf(stderr, "net::MsgKind: more than %zu message kinds\n",
                  kMaxKinds);
     std::abort();
   }
-  table.names[n] = std::string(name);
-  id_ = static_cast<std::uint16_t>(n);
-  table.count.store(n + 1, std::memory_order_release);
+  table.names[table.count] = std::string(name);
+  id_ = static_cast<std::uint16_t>(table.count++);
 }
 
 MsgKind MsgKind::from_id(std::size_t id) {
-  if (id >= kinds().count.load(std::memory_order_acquire)) {
+  if (id >= kinds().count) {
     std::fprintf(stderr, "net::MsgKind: no kind with id %zu\n", id);
     std::abort();
   }

@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <new>
 #include <string_view>
 #include <type_traits>
@@ -43,7 +42,7 @@ class MsgKind {
   /// The kind named `name`, registered on first use: equal names give
   /// equal kinds.  Declare each kind once, as a namespace-scope constant
   /// (see runtime/protocol.hpp); registering more than kMaxKinds distinct
-  /// names aborts.  Thread-safe.
+  /// names aborts.
   explicit MsgKind(std::string_view name);
 
   /// The kind with id `id` (ids come from `id()`; out of range aborts).
@@ -120,59 +119,41 @@ class Payload {
  private:
   static constexpr std::size_t kAlign = 8;
 
-  /// Per-type operations.  Trivially copyable values copy with one memcpy
-  /// of `trivial_size` bytes and need no destructor (copy/destroy null).
+  /// Per-type operations.
   struct Ops {
     const char* (*type_name)() noexcept;
-    std::size_t trivial_size;
     void (*copy)(void* dst, const void* src);
     void (*move)(void* dst, void* src) noexcept;  ///< move-construct, destroy src
     void (*destroy)(void* p) noexcept;
   };
 
   template <typename V>
-  static constexpr bool kTrivial = std::is_trivially_copyable_v<V> &&
-                                   std::is_trivially_destructible_v<V>;
-
-  template <typename V>
   static constexpr Ops kOps{
       [] () noexcept { return typeid(V).name(); },
-      kTrivial<V> ? sizeof(V) : 0,
-      kTrivial<V> ? nullptr
-                  : +[](void* dst, const void* src) {
-                      ::new (dst) V(*static_cast<const V*>(src));
-                    },
-      kTrivial<V> ? nullptr
-                  : +[](void* dst, void* src) noexcept {
-                      V* v = static_cast<V*>(src);
-                      ::new (dst) V(std::move(*v));
-                      v->~V();
-                    },
-      kTrivial<V> ? nullptr
-                  : +[](void* p) noexcept { static_cast<V*>(p)->~V(); }};
+      [](void* dst, const void* src) {
+        ::new (dst) V(*static_cast<const V*>(src));
+      },
+      [](void* dst, void* src) noexcept {
+        V* v = static_cast<V*>(src);
+        ::new (dst) V(std::move(*v));
+        v->~V();
+      },
+      [](void* p) noexcept { static_cast<V*>(p)->~V(); }};
 
   void reset() noexcept {
-    if (ops_ != nullptr && ops_->destroy != nullptr) ops_->destroy(storage_);
+    if (ops_ != nullptr) ops_->destroy(storage_);
     ops_ = nullptr;
   }
 
   void copy_from(const Payload& other) {
     if (other.ops_ == nullptr) return;
-    if (other.ops_->copy == nullptr) {
-      std::memcpy(storage_, other.storage_, other.ops_->trivial_size);
-    } else {
-      other.ops_->copy(storage_, other.storage_);
-    }
+    other.ops_->copy(storage_, other.storage_);
     ops_ = other.ops_;
   }
 
   void move_from(Payload& other) noexcept {
     if (other.ops_ == nullptr) return;
-    if (other.ops_->move == nullptr) {
-      std::memcpy(storage_, other.storage_, other.ops_->trivial_size);
-    } else {
-      other.ops_->move(storage_, other.storage_);
-    }
+    other.ops_->move(storage_, other.storage_);
     ops_ = other.ops_;
     other.ops_ = nullptr;
   }

@@ -1,7 +1,5 @@
 #include "runtime/app_controller.hpp"
 
-#include <algorithm>
-
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 
@@ -15,11 +13,6 @@ void LoadCheckSweep::add(AppController& controller) {
   controllers_.push_back(&controller);
 }
 
-void LoadCheckSweep::remove(AppController& controller) {
-  std::erase(controllers_, &controller);
-  if (controllers_.empty()) timer_.cancel();
-}
-
 void LoadCheckSweep::tick() {
   for (AppController* controller : controllers_) controller->check_load();
 }
@@ -28,12 +21,6 @@ void AppController::start() {
   if (started_) return;
   started_ = true;
   sweep_.add(*this);
-}
-
-void AppController::stop() {
-  if (!started_) return;
-  started_ = false;
-  sweep_.remove(*this);
 }
 
 void AppController::handle(const net::Message& message) {

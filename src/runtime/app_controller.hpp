@@ -33,16 +33,16 @@ class AppController;
 /// per controller_period.  The first controller to start arms the timer,
 /// with the first tick one period later, so a fleet started at one instant
 /// checks each host at the same instants, and in the same order, as one
-/// timer per controller would.  A controller started later joins the
-/// sweep's phase.  One per environment.
+/// timer per controller would.  One per environment; the timer stops when
+/// the sweep is destroyed.
 class LoadCheckSweep {
  public:
   explicit LoadCheckSweep(RuntimeCore& core) : core_(core) {}
+  ~LoadCheckSweep() { timer_.cancel(); }
   LoadCheckSweep(const LoadCheckSweep&) = delete;
   LoadCheckSweep& operator=(const LoadCheckSweep&) = delete;
 
   void add(AppController& controller);
-  void remove(AppController& controller);
 
  private:
   void tick();
@@ -58,9 +58,9 @@ class AppController {
                 LoadCheckSweep& sweep)
       : core_(core), host_(host), dm_(dm), sweep_(sweep) {}
 
-  /// Begin periodic load monitoring of this machine (join the sweep).
+  /// Begin periodic load monitoring of this machine (join the sweep, which
+  /// checks it until the environment is torn down).
   void start();
-  void stop();
 
   void handle(const net::Message& message);
 

@@ -37,7 +37,6 @@ void HostAgent::stop() {
   if (!started_) return;
   started_ = false;
   monitor_.stop();
-  app_controller_.stop();
   if (group_manager_) group_manager_->stop();
   if (site_manager_) site_manager_->stop();
   core_.fabric().unbind(host_);

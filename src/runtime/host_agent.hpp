@@ -34,6 +34,8 @@ class HostAgent {
 
   /// Bind the fabric handler and start all resident daemons.
   void start();
+  /// Stop the daemons and unbind the handler.  The Application Controller's
+  /// load checks end with the environment's LoadCheckSweep.
   void stop();
 
   /// Extension services (e.g. the DSM runtime) can claim message kinds the

@@ -206,6 +206,26 @@ TEST_F(FabricFixture, StatsAccumulateAndReset) {
   EXPECT_TRUE(fabric.stats().sent_by_type.empty());
 }
 
+TEST_F(FabricFixture, StatsEntriesStayValidAcrossReads) {
+  // Callers look an entry up in one stats() read and dereference it after
+  // another (bench_failure_detection does), so a read must update the map
+  // in place rather than rebuild it.
+  fabric.bind(common::HostId(1), [](const Message&) {});
+  const MsgKind a("a");
+  const MsgKind b("b");
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), a, 100});
+  auto it = fabric.stats().sent_by_type.find("a");
+  ASSERT_NE(it, fabric.stats().sent_by_type.end());
+  const std::uint64_t& count = it->second;
+  EXPECT_EQ(count, 1u);
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), a, 100});
+  (void)fabric.send(Message{common::HostId(0), common::HostId(1), b, 100});
+  EXPECT_EQ(fabric.stats().sent_by_type.size(), 2u);
+  EXPECT_EQ(it->first, "a");
+  EXPECT_EQ(it->second, 2u);
+  EXPECT_EQ(&count, &fabric.stats().sent_by_type.at("a"));
+}
+
 TEST_F(FabricFixture, IntraSiteFasterThanInterSite) {
   double lan_arrival = -1, wan_arrival = -1;
   fabric.bind(common::HostId(1), [&](const Message&) { lan_arrival = engine.now(); });
